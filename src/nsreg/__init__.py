@@ -34,6 +34,7 @@ from .errors import (
     ConfigurationError,
     GridMismatchError,
     HorizonExceededError,
+    InvariantViolationError,
     NumericalBlowupError,
     PoincareConsistencyError,
 )

@@ -1,35 +1,35 @@
-"""Hot inner-loop kernels with numba and pure-numpy implementations.
+"""Pointwise and modewise kernels of the stepper's inner loop.
 
-The numba path is used when numba imports successfully and the environment
-variable ``NSREG_NUMBA`` is not set to ``0``/``false``/``no``.  Both paths are
-sequential and deterministic for fixed inputs; they may differ in the last
-few ulps because summation order differs.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Each kernel is a sequential numpy expression, deterministic for fixed
+inputs.  Callers look them up on this module at call time.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("NSREG_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
+# (i, j) of the flux components returned by convective_product; the flux is
+# symmetric, and FLUX_INDEX[i][j] is the component that holds u_i u_j
+FLUX_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+FLUX_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 
-def convective_product_numpy(u_phys, grad_phys):
-    """g_j = sum_i u_i * (d v_j / d x_i) on the collocation grid.
+def convective_product(u_phys):
+    """Convective flux u_i * u_j on the collocation grid, pairs i <= j.
 
-    u_phys: (3, n, n, n) float64, grad_phys: (3, 3, n, n, n) float64 with
-    grad_phys[i, j] = d v_j / d x_i.  Returns (3, n, n, n) float64.
+    u_phys: (3, n, n, n) float64.  Returns (6, n, n, n) float64 ordered as
+    :data:`FLUX_PAIRS` (xx, xy, xz, yy, yz, zz).
     """
-    return np.einsum("iabc,ijabc->jabc", u_phys, grad_phys)
+    out = np.empty((len(FLUX_PAIRS),) + u_phys.shape[1:])
+    for p, (i, j) in enumerate(FLUX_PAIRS):
+        np.multiply(u_phys[i], u_phys[j], out=out[p])
+    return out
 
 
-def leray_project_numpy(vhat, kx, ky, kz):
+def leray_project_modes(vhat, kx, ky, kz):
     """Remove the gradient part of each Fourier mode, in place.
 
-    vhat: (3, N, N, N) complex128; kx, ky, kz: (N,) float64 scaled
-    wavenumbers per axis.  Mode 0 is zeroed.  Returns vhat.
+    vhat: (3, Nx, Ny, Nz) complex128; kx, ky, kz: scaled wavenumbers of
+    each axis (Nz = N for the full layout, N/2 + 1 for the half layout).
+    Mode 0 is zeroed.  Returns vhat.
     """
     gx = kx[:, None, None]
     gy = ky[None, :, None]
@@ -44,110 +44,10 @@ def leray_project_numpy(vhat, kx, ky, kz):
     return vhat
 
 
-def weighted_spectral_sum_numpy(vhat, ksq, power):
-    """sum_k |k|^(2*power) * |vhat(k)|^2 with the 0^0 = 1 convention."""
+def weighted_spectral_sum(vhat, weight):
+    """sum_k weight(k) * |vhat(k)|^2, summed over the three components.
+
+    ``weight`` has the shape of one component of ``vhat``.
+    """
     mag = (vhat.real * vhat.real + vhat.imag * vhat.imag).sum(axis=0)
-    if power == 0.0:
-        return float(mag.sum())
-    if power == 1.0:
-        w = ksq
-    elif power == 2.0:
-        w = ksq * ksq
-    else:
-        w = np.where(ksq > 0.0, ksq, 1.0) ** power
-        w[ksq == 0.0] = 0.0
-    return float((w * mag).sum())
-
-
-try:  # pragma: no cover - exercised implicitly through the public aliases
-    if not _want_numba:
-        raise ImportError("numba disabled via NSREG_NUMBA")
-    from numba import njit
-
-    @njit(cache=True)
-    def convective_product_numba(u_phys, grad_phys):
-        n0, n1, n2 = u_phys.shape[1], u_phys.shape[2], u_phys.shape[3]
-        out = np.empty_like(u_phys)
-        for a in range(n0):
-            for b in range(n1):
-                for c in range(n2):
-                    ux = u_phys[0, a, b, c]
-                    uy = u_phys[1, a, b, c]
-                    uz = u_phys[2, a, b, c]
-                    for j in range(3):
-                        out[j, a, b, c] = (
-                            ux * grad_phys[0, j, a, b, c]
-                            + uy * grad_phys[1, j, a, b, c]
-                            + uz * grad_phys[2, j, a, b, c]
-                        )
-        return out
-
-    @njit(cache=True)
-    def leray_project_numba(vhat, kx, ky, kz):
-        n0, n1, n2 = vhat.shape[1], vhat.shape[2], vhat.shape[3]
-        for a in range(n0):
-            for b in range(n1):
-                for c in range(n2):
-                    gx = kx[a]
-                    gy = ky[b]
-                    gz = kz[c]
-                    ksq = gx * gx + gy * gy + gz * gz
-                    if ksq > 0.0:
-                        div = (
-                            gx * vhat[0, a, b, c]
-                            + gy * vhat[1, a, b, c]
-                            + gz * vhat[2, a, b, c]
-                        ) / ksq
-                        vhat[0, a, b, c] -= gx * div
-                        vhat[1, a, b, c] -= gy * div
-                        vhat[2, a, b, c] -= gz * div
-        vhat[0, 0, 0, 0] = 0.0
-        vhat[1, 0, 0, 0] = 0.0
-        vhat[2, 0, 0, 0] = 0.0
-        return vhat
-
-    @njit(cache=True)
-    def weighted_spectral_sum_numba(vhat, ksq, power):
-        n0, n1, n2 = vhat.shape[1], vhat.shape[2], vhat.shape[3]
-        total = 0.0
-        for a in range(n0):
-            for b in range(n1):
-                for c in range(n2):
-                    mag = 0.0
-                    for j in range(3):
-                        z = vhat[j, a, b, c]
-                        mag += z.real * z.real + z.imag * z.imag
-                    ks = ksq[a, b, c]
-                    if ks > 0.0:
-                        if power == 1.0:
-                            total += ks * mag
-                        elif power == 2.0:
-                            total += ks * ks * mag
-                        else:
-                            total += ks**power * mag
-                    elif power == 0.0:
-                        total += mag
-        return total
-
-    HAVE_NUMBA = True
-except ImportError:
-    convective_product_numba = None
-    leray_project_numba = None
-    weighted_spectral_sum_numba = None
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    convective_product = convective_product_numba
-    leray_project_modes = leray_project_numba
-    weighted_spectral_sum = weighted_spectral_sum_numba
-    BACKEND = "numba"
-else:
-    convective_product = convective_product_numpy
-    leray_project_modes = leray_project_numpy
-    weighted_spectral_sum = weighted_spectral_sum_numpy
-    BACKEND = "numpy"
-
-
-def backend_name():
-    """Selected kernel backend, ``"numba"`` or ``"numpy"``."""
-    return BACKEND
+    return float((weight * mag).sum())

@@ -23,7 +23,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._kernels import backend_name
 from .bounds import (
     BoundCurve,
     CriterionInput,
@@ -314,7 +313,6 @@ def cmd_simulate(args):
     meta = {
         "command": "simulate",
         "version": __version__,
-        "kernel_backend": backend_name(),
         "created": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": result.wall_time_s,
         "termination": result.termination,

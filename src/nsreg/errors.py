@@ -35,3 +35,7 @@ class NumericalBlowupError(RuntimeError):
         super().__init__(msg)
         self.last_valid_time = last_valid_time
         self.reason = reason
+
+
+class InvariantViolationError(RuntimeError):
+    """The solver state lost an invariant it must keep (zero mean, divergence-free)."""

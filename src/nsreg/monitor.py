@@ -13,7 +13,9 @@ Three checks run against a :class:`~nsreg.solver.NormTrace`:
 
 Default tolerances scale with the measured stiffness of the trace
 (lam_eff = max h2_sq / h1_sq) and the sampling step, so refining dt
-provably shrinks them; they can be overridden per call.
+provably shrinks them; they can be overridden per call.  Every check
+fails closed: a NaN or infinite residual, or a NaN tolerance, is a
+violation.
 """
 
 from dataclasses import dataclass
@@ -61,6 +63,11 @@ class MonitorReport:
         }
 
 
+def _exceeds(value, tol):
+    """Samples where ``value <= tol`` fails; a non-finite value always fails."""
+    return ~(np.isfinite(value) & (value <= tol))
+
+
 def _first_violation(t, mask):
     idx = np.flatnonzero(mask)
     return float(t[idx[0]]) if idx.size else None
@@ -89,7 +96,7 @@ def solver_energy_diagnostic(trace, rel_tol=None, safety=4.0):
     if rel_tol is None:
         x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
         rel_tol = min(0.05, max(1e-10, safety * x * x / 6.0))
-    bad = np.abs(residual) > rel_tol * scale
+    bad = _exceeds(np.abs(residual), rel_tol * scale)
     return CheckResult(
         name="solver_energy_balance",
         passed=not bad.any(),
@@ -113,12 +120,13 @@ def check_h1_inequality(trace, ledger, tol=None, safety=4.0):
     residual = dydt - rhs
     if tol is None:
         lam_eff = _effective_stiffness(trace)
-        diff_err = (2.0 * trace.nu * lam_eff * _max_dt(trace)) ** 2 / 6.0
+        x = 2.0 * trace.nu * lam_eff * _max_dt(trace)
+        diff_err = x * x / 6.0  # float ** 2 raises OverflowError, x * x gives inf
         tol = max(
             1e-3 * float(rhs.max(initial=0.0)),
             safety * diff_err * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)),
         )
-    bad = residual > tol
+    bad = _exceeds(residual, tol)
     return residual, CheckResult(
         name="h1_differential_inequality",
         passed=not bad.any(),
@@ -136,7 +144,7 @@ def check_energy_inequality(trace, ledger, tol=None):
     if tol is None:
         scale = float(max(trace.l2_sq.max(), rhs.max(), 1e-300))
         tol = 1e-9 * scale + 1e-12
-    bad = excess > tol
+    bad = _exceeds(excess, tol)
     return CheckResult(
         name="cumulative_energy_inequality",
         passed=not bad.any(),
@@ -158,7 +166,7 @@ def check_bound_dominance(trace, report, rel_tol=1e-6):
     ts = np.minimum(trace.t, curve.horizon)
     values = np.asarray(curve.evaluate(ts), dtype=float)
     excess = trace.h1_sq - values * (1.0 + rel_tol)
-    bad = excess > 0.0
+    bad = _exceeds(excess, 0.0)
     return CheckResult(
         name=f"bound_dominance[{curve.kind}]",
         passed=not bad.any(),

@@ -7,26 +7,29 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  Every accepted step appends L2/H1/H2 norms, the force inner
-product, and trapezoidal running integrals to a :class:`NormTrace`.
+option).  The stepper holds the state as a half spectrum (see
+:mod:`nsreg.spectral`).  Every accepted step appends L2/H1/H2 norms, the
+force inner product, and trapezoidal running integrals to a
+:class:`NormTrace`.
 """
 
 import io
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.fft import irfftn
 
 from . import _kernels
-from .errors import ConfigurationError, GridMismatchError, NumericalBlowupError
-from .spectral import (
-    SpectralVelocity,
-    leray_project,
-    shear_field,
-    sobolev_norm,
-    to_physical,
+from .errors import (
+    ConfigurationError,
+    GridMismatchError,
+    InvariantViolationError,
+    NumericalBlowupError,
 )
+from .spectral import SpectralVelocity, convection_half, from_half, shear_field, to_half
 
 TRACE_COLUMNS = ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq", "residual")
 
@@ -77,18 +80,19 @@ class SolverConfig:
     blowup_h1_sq_ceiling: float = 1e12
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ConfigurationError(f"viscosity must be positive, got {self.nu}")
-        if not self.dt > 0:
-            raise ConfigurationError(f"time step must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ConfigurationError(f"final time must be positive, got {self.t_end}")
+        for what, value in (("viscosity", self.nu), ("time step", self.dt),
+                            ("final time", self.t_end)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{what} must be positive and finite, got {value}")
         if self.integrator not in ("if_rk4", "if_rk2"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
         if self.dealias is not True:
             raise ConfigurationError("dealiasing is mandatory for this solver")
-        if self.cfl is not None and not self.cfl > 0:
-            raise ConfigurationError(f"cfl factor must be positive, got {self.cfl}")
+        if self.cfl is not None and not (self.cfl > 0 and math.isfinite(self.cfl)):
+            raise ConfigurationError(f"cfl factor must be positive and finite, got {self.cfl}")
+        if not math.isfinite(self.blowup_h1_sq_ceiling):
+            raise ConfigurationError(
+                f"blowup ceiling must be finite, got {self.blowup_h1_sq_ceiling}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,8 @@ class NormTrace:
         n = len(self.t)
         if any(len(a) != n for a in arrays):
             raise GridMismatchError("trace arrays have mismatched lengths")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ConfigurationError("trace has non-finite entries")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise ConfigurationError("trace times must be strictly increasing")
         for name in ("l2_sq", "h1_sq", "h2_sq", "f_sq"):
@@ -206,25 +212,31 @@ class _TraceBuilder:
 
 
 class _Stepper:
-    """Integrating-factor Runge-Kutta stepper bound to one grid and config."""
+    """Integrating-factor Runge-Kutta stepper bound to one grid and config.
+
+    States, right-hand sides and forcing are half spectra, shape
+    (3, N, N, N/2 + 1).
+    """
 
     def __init__(self, grid, forcing, config):
         self.grid = grid
         self.forcing = forcing
         self.config = config
         self._exp_cache = {}
-        from .spectral import _convection_spectrum  # local alias, hot path
-        self._convection = _convection_spectrum
 
     def _factors(self, dt):
         cached = self._exp_cache.get(dt)
         if cached is None:
-            lam = self.config.nu * self.grid.ksq
+            lam = self.config.nu * self.grid.ksq_half
             cached = (np.exp(-lam * dt), np.exp(-lam * (0.5 * dt)))
             if len(self._exp_cache) > 8:
                 self._exp_cache.clear()
             self._exp_cache[dt] = cached
         return cached
+
+    def _project(self, half):
+        g = self.grid
+        return _kernels.leray_project_modes(half, g.kx, g.kx, g.kz_half)
 
     def force_spectrum(self, t):
         f = self.forcing.at(t)
@@ -232,15 +244,14 @@ class _Stepper:
             return None
         if f.grid != self.grid:
             raise GridMismatchError("forcing grid does not match the state grid")
-        fhat = f.coefficients * self.grid.dealias_mask
+        fhat = to_half(f) * self.grid.dealias_mask_half
         if self.forcing.kind == "time_dependent":
-            fhat = leray_project(fhat, self.grid).coefficients
+            self._project(fhat)
         return fhat
 
     def rhs(self, coeffs, t):
         """Convection + projected forcing; the stiff viscous part is exact."""
-        out = -self._convection(coeffs, self.grid)
-        out = leray_project(out, self.grid).coefficients.copy()
+        out = self._project(-convection_half(coeffs, self.grid))
         fhat = self.force_spectrum(t)
         if fhat is not None:
             out += fhat
@@ -267,7 +278,9 @@ class _Stepper:
     def cfl_dt(self, coeffs):
         if self.config.cfl is None:
             return self.config.dt
-        speed = float(np.abs(to_physical(SpectralVelocity(self.grid, coeffs.copy())).samples).max())
+        n = self.grid.n
+        u_phys = irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+        speed = float(np.abs(u_phys).max())
         if speed == 0.0:
             return self.config.dt
         dx = self.grid.length / self.grid.n
@@ -282,43 +295,47 @@ def step(u, forcing, t, dt, config):
     """
     if dt <= 0:
         raise ConfigurationError(f"step size must be positive, got {dt}")
-    stepper = _Stepper(u.grid, forcing, config)
-    new = stepper.step(u.coefficients, t, dt)
+    grid = u.grid
+    stepper = _Stepper(grid, forcing, config)
+    new = stepper.step(to_half(u), t, dt)
     if not np.all(np.isfinite(new)):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
         )
-    return SpectralVelocity(u.grid, np.ascontiguousarray(new))
+    return SpectralVelocity(grid, from_half(new, grid))
 
 
 def _sample(grid, coeffs, fhat):
-    state = SpectralVelocity(grid, coeffs)
-    l2_sq = sobolev_norm(state, 0) ** 2
-    h1_sq = sobolev_norm(state, 1) ** 2
-    h2_sq = sobolev_norm(state, 2) ** 2
+    """(l2_sq, h1_sq, h2_sq, f_dot_u, f_sq) of a half-spectrum state."""
+    vol = grid.volume
+    l2_sq, h1_sq, h2_sq = (vol * _kernels.weighted_spectral_sum(coeffs, w)
+                           for w in grid.norm_weights_half)
     if fhat is None:
         f_dot_u = 0.0
         f_sq = 0.0
     else:
-        f_dot_u = float(grid.volume * np.vdot(fhat, coeffs).real)
-        f_sq = float(grid.volume * _kernels.weighted_spectral_sum(fhat, grid.ksq, 0.0))
+        mult = grid.norm_weights_half[0]
+        f_dot_u = float(vol * np.vdot(fhat * mult, coeffs).real)
+        f_sq = vol * _kernels.weighted_spectral_sum(fhat, mult)
     return l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
 
 
 def _check_invariants(grid, coeffs, t):
+    """Raise :class:`InvariantViolationError` unless a half-spectrum state
+    has zero mean and is divergence-free."""
     peak = float(np.abs(coeffs).max())
     if peak == 0.0:
         return
     if float(np.abs(coeffs[:, 0, 0, 0]).max()) > 1e-12 * peak:
-        raise RuntimeError(f"zero-mean invariant violated at t={t:g}")
+        raise InvariantViolationError(f"zero-mean invariant violated at t={t:g}")
     div = (
         grid.kx[:, None, None] * coeffs[0]
         + grid.kx[None, :, None] * coeffs[1]
-        + grid.kx[None, None, :] * coeffs[2]
+        + grid.kz_half * coeffs[2]
     )
     kmax = grid.scale * grid.n / 2.0 * np.sqrt(3.0)
     if float(np.abs(div).max()) > 1e-10 * peak * kmax:
-        raise RuntimeError(f"divergence-free invariant violated at t={t:g}")
+        raise InvariantViolationError(f"divergence-free invariant violated at t={t:g}")
 
 
 def simulate(u0, forcing, config):
@@ -333,7 +350,7 @@ def simulate(u0, forcing, config):
     stepper = _Stepper(grid, forcing, config)
     builder = _TraceBuilder(config.nu)
 
-    coeffs = np.array(u0.coefficients, copy=True)
+    coeffs = np.ascontiguousarray(to_half(u0))
     t = 0.0
     builder.append(t, *_sample(grid, coeffs, stepper.force_spectrum(t)))
 
@@ -363,10 +380,9 @@ def simulate(u0, forcing, config):
         t = t_new
         builder.append(t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq)
 
-    state = SpectralVelocity(grid, np.ascontiguousarray(coeffs))
     return SimulationResult(
         trace=builder.build(),
-        final_state=state,
+        final_state=SpectralVelocity(grid, from_half(coeffs, grid)),
         termination=termination,
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,

@@ -13,6 +13,11 @@ Quadratic products are dealiased with the 2/3 rule: only modes with
 |k_int| < N/3 on every axis are retained, which makes products of retained
 modes alias-free on the N^3 grid and makes the collocation quadrature of
 triple products exact.
+
+The time stepper works on the half spectrum, ``uhat[..., :N/2 + 1]`` (the
+``rfftn`` layout): a real field's modes with kz < 0 are the conjugates of
+those at -k.  :func:`to_half` and :func:`from_half` convert between the
+layouts.
 """
 
 import json
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 from . import _kernels
 from .errors import ConfigurationError, GridMismatchError
@@ -53,8 +58,6 @@ class WaveGrid:
         k_int = np.fft.fftfreq(self.n, 1.0 / self.n)  # 0, 1, ..., -N/2, ..., -1
         self.k_int = k_int
         self.kx = self.scale * k_int
-        self.ky = self.kx
-        self.kz = self.kx
 
         gx = k_int[:, None, None]
         gy = k_int[None, :, None]
@@ -68,7 +71,24 @@ class WaveGrid:
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         )
 
-        for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask):
+        # Half-spectrum layout: kz = 0, ..., N/2 - 1 and the Nyquist plane,
+        # which keeps the full layout's kz = -N/2.  A mode of the half
+        # spectrum stands for itself and its conjugate at -k, except on the
+        # planes kz = 0 and kz = -N/2, which hold both of each pair.
+        nh = self.n // 2 + 1
+        self.kz_half = self.kx[:nh].copy()
+        self.ksq_half = np.ascontiguousarray(self.ksq[..., :nh])
+        self.dealias_mask_half = np.ascontiguousarray(self.dealias_mask[..., :nh])
+        multiplicity = np.full(nh, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        # multiplicity * |k|^(2m), m = 0, 1, 2: weights of the squared norms
+        self.norm_weights_half = multiplicity * np.stack(
+            [np.ones_like(self.ksq_half), self.ksq_half, self.ksq_half**2]
+        )
+
+        for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
+                    self.kz_half, self.ksq_half, self.dealias_mask_half,
+                    self.norm_weights_half):
             arr.setflags(write=False)
 
     @property
@@ -267,7 +287,7 @@ def sobolev_norm(u, m):
     """
     if m < 0:
         raise ValueError(f"norm order must be >= 0, got {m}")
-    total = _kernels.weighted_spectral_sum(u.coefficients, u.grid.ksq, float(m))
+    total = _kernels.weighted_spectral_sum(u.coefficients, u.grid.ksq**m)
     return float(np.sqrt(u.grid.volume * total))
 
 
@@ -312,18 +332,52 @@ def trilinear_b(u, v, w):
     u_phys = np.real(ifftn(_masked(u.coefficients, grid), axes=(-3, -2, -1)) * n3)
     w_phys = np.real(ifftn(_masked(w.coefficients, grid), axes=(-3, -2, -1)) * n3)
     grad_v = _gradient_physical(_masked(v.coefficients, grid), grid)
-    conv = _kernels.convective_product(np.ascontiguousarray(u_phys), grad_v)
+    conv = np.einsum("iabc,ijabc->jabc", u_phys, grad_v)
     return float((conv * w_phys).sum() * grid.cell_volume)
 
 
-def _convection_spectrum(coefficients, grid):
-    """Dealiased spectrum of (u . grad) u for in-band coefficients."""
-    n3 = grid.n_modes
-    masked = _masked(coefficients, grid)
-    u_phys = np.real(ifftn(masked, axes=(-3, -2, -1)) * n3)
-    grad_u = _gradient_physical(masked, grid)
-    conv = _kernels.convective_product(np.ascontiguousarray(u_phys), grad_u)
-    return _masked(fftn(conv, axes=(-3, -2, -1)) / n3, grid)
+def convection_half(half, grid):
+    """Dealiased half spectrum of (u . grad) u for half-spectrum coefficients.
+
+    Uses the divergence form  sum_i d(u_i u_j)/d x_i, equal to the
+    convective form for divergence-free u: 3 inverse and 6 forward real
+    transforms.  The 2/3 rule makes the retained modes of each product
+    alias-free.
+    """
+    n = grid.n
+    mask = grid.dealias_mask_half
+    u_phys = irfftn(half * mask, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    flux = rfftn(_kernels.convective_product(u_phys), axes=(-3, -2, -1), norm="forward")
+    k = (grid.kx[:, None, None], grid.kx[None, :, None], grid.kz_half)
+    out = np.empty(half.shape, dtype=np.complex128)
+    for j, idx in enumerate(_kernels.FLUX_INDEX):
+        out[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
+    out *= 1j * mask
+    return out
+
+
+def to_half(u):
+    """Half spectrum of a field: a read-only view of its kz >= 0 modes, which
+    include the Nyquist plane kz = -N/2."""
+    return u.coefficients[..., : u.grid.n // 2 + 1]
+
+
+def from_half(half, grid):
+    """Full-layout coefficients of a half spectrum, exactly Hermitian.
+
+    The modes with -N/2 < kz < 0 are filled in from uhat(-k) = conj(uhat(k)).
+    The planes kz = 0 and kz = -N/2 each hold both modes of every conjugate
+    pair; they are replaced by their Hermitian part, so the result has the
+    symmetry bit for bit.
+    """
+    n, nh = grid.n, grid.n // 2 + 1
+    mirror = np.conj(np.roll(half[..., ::-1, ::-1, :], 1, axis=(-3, -2)))  # conj at (-kx, -ky)
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., 1:nh - 1] = half[..., 1:nh - 1]
+    full[..., nh:] = mirror[..., nh - 2:0:-1]
+    for z in (0, nh - 1):
+        full[..., z] = 0.5 * (half[..., z] + mirror[..., z])
+    return full
 
 
 def nonlinear_term(u):
@@ -332,8 +386,10 @@ def nonlinear_term(u):
     Satisfies <nonlinear_term(u), w> = trilinear_b(u, u, w) for every
     divergence-free in-band w.
     """
-    ghat = _convection_spectrum(u.coefficients, u.grid)
-    return leray_project(ghat, u.grid)
+    grid = u.grid
+    ghat = convection_half(to_half(u), grid)
+    _kernels.leray_project_modes(ghat, grid.kx, grid.kx, grid.kz_half)
+    return SpectralVelocity(grid, from_half(ghat, grid))
 
 
 def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):

@@ -65,6 +65,12 @@ def test_simulate_usage_errors(tmp_path):
     assert run(["simulate"]) == EXIT_USAGE  # --out is required
 
 
+def test_simulate_infinite_final_time_is_usage_error(tmp_path):
+    out = tmp_path / "inf"
+    assert run(["simulate", "--T", "inf", "--N", "8", "--out", out]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     out = tmp_path / "boom"
     code = run(["simulate", "--init", "random", "--amplitude", "100",

@@ -201,6 +201,49 @@ def test_monitor_violations_property(shear_run, ledger):
     assert mon.passed
 
 
+# ------------------------------------------------------------- fail closed
+
+NAN_TOLERANCE_CHECKS = {
+    "solver_energy_balance": lambda tr, ledger, report: solver_energy_diagnostic(
+        tr, rel_tol=np.nan),
+    "h1_differential_inequality": lambda tr, ledger, report: check_h1_inequality(
+        tr, ledger, tol=np.nan)[1],
+    "cumulative_energy_inequality": lambda tr, ledger, report: check_energy_inequality(
+        tr, ledger, tol=np.nan),
+    "bound_dominance": lambda tr, ledger, report: check_bound_dominance(
+        tr, report, rel_tol=np.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_TOLERANCE_CHECKS))
+def test_checks_fail_closed_on_nan(grid16, ledger, name):
+    u0, report = certified_shear(grid16, ledger)
+    res = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.1))
+    check = NAN_TOLERANCE_CHECKS[name](res.trace, ledger, report)
+    assert not check.passed
+    assert check.first_violation_t == res.trace.t[0]
+
+
+def test_h1_check_flags_overflowing_residual(ledger):
+    # finite samples whose h1_sq**3 and slope overflow: the residual is NaN
+    trace = NormTrace(
+        t=np.array([0.0, 1e-10, 2e-10]), l2_sq=np.ones(3),
+        h1_sq=np.array([1e103, 1e300, 1e300]), h2_sq=np.full(3, 1e300),
+        f_dot_u=np.zeros(3), f_sq=np.zeros(3), int_h1_sq=np.array([0.0, 1e290, 2e290]),
+        int_f_sq=np.zeros(3), nu=1.0,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, check = check_h1_inequality(trace, ledger)
+    assert not np.all(np.isfinite(residual))
+    assert not check.passed
+
+
+def test_run_monitor_fails_closed_on_nan_tolerance(shear_run, ledger):
+    mon = run_monitor(shear_run.trace, ledger, energy_tol=np.nan)
+    assert not mon.passed
+    assert [c.name for c in mon.violations] == ["cumulative_energy_inequality"]
+
+
 # -------------------------------------------------- refinement monotonicity
 
 def test_diagnostics_shrink_under_dt_refinement(grid16, ledger):

@@ -22,7 +22,9 @@ from nsreg import (
     sobolev_norm,
     step,
 )
-from nsreg.errors import GridMismatchError
+from nsreg.errors import GridMismatchError, InvariantViolationError
+from nsreg.solver import _check_invariants
+from nsreg.spectral import to_half
 
 
 def zero_field(grid):
@@ -54,6 +56,14 @@ def test_config_validation():
         SolverConfig(nu=1.0, dt=1e-3, t_end=1.0, dealias=False)
 
 
+@pytest.mark.parametrize("field", ["nu", "dt", "t_end", "cfl", "blowup_h1_sq_ceiling"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"nu": 1.0, "dt": 1e-3, "t_end": 1.0, field: value}
+    with pytest.raises(ConfigurationError):
+        SolverConfig(**kwargs)
+
+
 def test_steady_forcing_must_be_solenoidal(grid8):
     n = grid8.n
     raw = np.zeros((3, n, n, n), dtype=np.complex128)
@@ -82,6 +92,12 @@ def test_step_from_rest_linearizes_forcing(grid16):
     lead = dt * f.steady_field.coefficients
     err = np.abs(out.coefficients - lead).max()
     assert err <= 10.0 * dt**2 * np.abs(f.steady_field.coefficients).max()
+
+
+def test_step_output_exactly_hermitian(grid16):
+    cfg = SolverConfig(nu=0.1, dt=1e-2, t_end=1.0)
+    u = random_divfree_field(grid16, 5, -2.0, 3.0)
+    step(u, kolmogorov_forcing(grid16, 2.0), 0.0, cfg.dt, cfg).validate(hermitian_tol=0.0)
 
 
 def test_step_rejects_nonpositive_dt(grid8):
@@ -131,6 +147,44 @@ def test_invariants_preserved_along_run(grid16):
     cfg = SolverConfig(nu=0.2, dt=2e-3, t_end=0.1)
     res = simulate(u0, ForcingSpec.zero(), cfg)
     res.final_state.validate()
+
+
+def test_final_state_exactly_hermitian(grid16):
+    u0 = random_divfree_field(grid16, 9, -2.0, 4.0)
+    cfg = SolverConfig(nu=0.1, dt=5e-3, t_end=0.05)
+    res = simulate(u0, kolmogorov_forcing(grid16, 1.0), cfg)
+    res.final_state.validate(hermitian_tol=0.0)
+
+
+# Final (l2_sq, h1_sq, h2_sq) of two N=16 runs, recorded with the
+# full-spectrum stepper (15 complex FFTs per RHS, gradient-form convection).
+# Convection changes h1_sq by about 0.5 % in the first run, and the CFL cap
+# shortens steps 7 to 11 of the second.
+RECORDED_RUNS = [
+    (dict(seed=7, amplitude=8.0, forced=False),
+     dict(nu=0.05, dt=5e-3, t_end=0.25),
+     (43.80697683504384, 572.1785457900712, 14102.345626153785)),
+    (dict(seed=11, amplitude=6.0, forced=True),
+     dict(nu=0.2, dt=0.05, t_end=0.5, integrator="if_rk2", cfl=0.2),
+     (725.4500708818034, 748.5168765361173, 965.3366224627921)),
+]
+
+
+@pytest.mark.parametrize("init,config,expected", RECORDED_RUNS)
+def test_final_norms_match_recorded_runs(grid16, init, config, expected):
+    u0 = random_divfree_field(grid16, init["seed"], -2.0, init["amplitude"])
+    forcing = kolmogorov_forcing(grid16, 5.0) if init["forced"] else ForcingSpec.zero()
+    trace = simulate(u0, forcing, SolverConfig(**config)).trace
+    got = (trace.l2_sq[-1], trace.h1_sq[-1], trace.h2_sq[-1])
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_check_invariants_rejects_mean_mode(grid8):
+    half = to_half(random_divfree_field(grid8, 1, -2.0, 1.0)).copy()
+    _check_invariants(grid8, half, 0.0)
+    half[2, 0, 0, 0] = 0.5
+    with pytest.raises(InvariantViolationError, match="zero-mean"):
+        _check_invariants(grid8, half, 0.0)
 
 
 @pytest.mark.parametrize("integrator,factor", [("if_rk4", 12.0), ("if_rk2", 3.9)])
@@ -210,6 +264,16 @@ def test_energy_residual_needs_samples(grid8):
     )
     with pytest.raises(GridMismatchError):
         energy_balance_residual(trace)
+
+
+@pytest.mark.parametrize("column", ["t", "l2_sq", "h1_sq", "f_dot_u", "int_f_sq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_trace_rejects_non_finite(column, value):
+    cols = {name: np.array([0.0, 1.0, 2.0]) for name in
+            ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "f_sq", "int_h1_sq", "int_f_sq")}
+    cols[column][-1] = value
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        NormTrace(nu=1.0, **cols)
 
 
 def test_cumulative_energy_inequality_along_random_run(grid16):
