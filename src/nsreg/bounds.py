@@ -16,7 +16,7 @@ rules out blow-up there.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -208,29 +208,40 @@ class CriterionReport:
     threshold: float = THRESHOLD
 
     def to_json_dict(self, samples=11):
-        if self.bound is None:
-            bound_at = []
-            horizon = None
-        else:
-            bound_at = self.bound.to_json_dict(samples)
-            horizon = self.bound.horizon if math.isfinite(self.bound.horizon) else None
+        b = self.bound
         return {
             "kind": self.kind,
             "lhs": self.lhs,
             "threshold": self.threshold,
             "satisfied": self.satisfied,
             "margin": self.margin,
-            "bound_at": bound_at,
-            "horizon": horizon,
+            "bound_at": [] if b is None else b.to_json_dict(samples),
+            "horizon": b.horizon if b is not None and math.isfinite(b.horizon) else None,
         }
+
+    @classmethod
+    def from_json_dict(cls, payload):
+        """Rebuild an arctan report from :meth:`to_json_dict` output (bare or
+        under ``"report"``).  Only kind, lhs and horizon are read; the verdict,
+        margin and bound are recomputed from lhs, never taken from the file."""
+        rep = payload.get("report", payload) if isinstance(payload, dict) else {}
+        try:
+            kind, lhs, horizon = rep["kind"], float(rep["lhs"]), rep.get("horizon")
+            horizon = math.inf if horizon is None else float(horizon)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed criterion report: {exc!r}") from exc
+        if kind not in ("arctan_free", "arctan_steady", "arctan_timedep"):
+            raise ConfigurationError(f"not an arctan criterion report: kind {kind!r}")
+        if not (0.0 <= lhs < math.inf and horizon >= 0.0):
+            raise ConfigurationError(f"criterion report needs finite lhs >= 0 and "
+                                     f"horizon >= 0, got {lhs} and {horizon}")
+        return _report(kind, lhs, horizon, t_end=horizon)
 
 
 def _report(kind, lhs, horizon, t_end=math.inf):
     satisfied = lhs < THRESHOLD
-    bound = None
-    if satisfied:
-        bound = BoundCurve(kind=kind, horizon=horizon,
-                           params={"lhs": lhs, "t_end": t_end})
+    bound = (BoundCurve(kind=kind, horizon=horizon, params={"lhs": lhs, "t_end": t_end})
+             if satisfied else None)
     return CriterionReport(kind=kind, lhs=lhs, satisfied=satisfied,
                            margin=THRESHOLD - lhs, bound=bound)
 
@@ -419,19 +430,8 @@ class ComparisonTable:
             "t_star": self.t_star if math.isfinite(self.t_star) else None,
             "threshold_l2": self.threshold_l2,
             "rows": [
-                {
-                    "l2": r.l2,
-                    "h1_sq": r.h1_sq,
-                    "classical_horizon": (
-                        r.classical_horizon if math.isfinite(r.classical_horizon) else None
-                    ),
-                    "criterion_lhs": r.criterion_lhs,
-                    "criterion_satisfied": r.criterion_satisfied,
-                    "margin": r.margin,
-                    "printed_lhs": r.printed_lhs,
-                    "printed_satisfied": r.printed_satisfied,
-                    "extends_classical": r.extends_classical,
-                }
+                {**asdict(r), "classical_horizon": (
+                    r.classical_horizon if math.isfinite(r.classical_horizon) else None)}
                 for r in self.rows
             ],
         }

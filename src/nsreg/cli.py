@@ -3,13 +3,15 @@
 Subcommands: ``simulate``, ``bounds``, ``compare``, ``calibrate``,
 ``monitor``.  Options can come from a ``key = value`` config file
 (``--config``); command-line flags override the file, which overrides the
-defaults.  ``--out DIR`` writes ``trace.csv`` / ``meta.json`` /
-``report.json`` plus an ``index.json`` that is always written last; every
-file write is atomic.
+defaults.  Each command returns its exit code and its files; ``--out DIR``
+writes them (``trace.csv`` / ``meta.json`` / ``report.json`` /
+``compare.csv``) atomically plus an ``index.json`` that is always written
+last, and without ``--out`` they go to stdout.
 
 Exit codes: 0 success (a reported blowup is a success), 2 monitor
-violation, 3 solver diagnostic failure, 64 usage/configuration error,
-65 inconsistent norm inputs.
+violation, 3 solver diagnostic failure or lost solver invariant,
+64 usage/configuration error, 65 inconsistent norm inputs, a trace too
+short to check or malformed JSON, 66 missing or unreadable file.
 """
 
 import argparse
@@ -18,18 +20,18 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundCurve,
+    ComparisonRow,
     CriterionInput,
     CriterionReport,
     DEFAULT_C_INTERP,
     DEFAULT_C_SOBOLEV,
-    THRESHOLD,
     arctan_bound_free,
     arctan_bound_steady,
     arctan_bound_timedep,
@@ -37,7 +39,12 @@ from .bounds import (
     interval_comparison,
 )
 from .calibrate import calibrate_constants
-from .errors import ConfigurationError, PoincareConsistencyError
+from .errors import (
+    ConfigurationError,
+    GridMismatchError,
+    InvariantViolationError,
+    PoincareConsistencyError,
+)
 from .monitor import run_monitor
 from .solver import ForcingSpec, NormTrace, SolverConfig, kolmogorov_forcing, simulate
 from .spectral import (
@@ -54,6 +61,7 @@ EXIT_VIOLATION = 2
 EXIT_SOLVER_DIAGNOSTIC = 3
 EXIT_USAGE = 64
 EXIT_NORM_INCONSISTENT = 65
+EXIT_NO_INPUT = 66
 
 
 class UsageError(Exception):
@@ -81,19 +89,6 @@ def _write_atomic(path, text):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _finish_out(out_dir, written, command):
-    index = {"command": command, "files": sorted(written)}
-    _write_atomic(os.path.join(out_dir, "index.json"), _json_text(index))
-
-
-def _emit(args, name, text, written):
-    if args.out:
-        _write_atomic(os.path.join(args.out, name), text)
-        written.append(name)
-    else:
-        sys.stdout.write(text)
 
 
 def _ledger_from(args):
@@ -214,13 +209,6 @@ def _coerce(action, raw, key):
     return raw
 
 
-def _subparser(parser, command):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise UsageError("config files require a subcommand")  # pragma: no cover
-
-
 def _config_tokens(parser, command, path, user_argv):
     """Translate a config file into argv tokens placed before the user flags.
 
@@ -228,7 +216,8 @@ def _config_tokens(parser, command, path, user_argv):
     override the file.  Flags from a mutually exclusive group are skipped
     whenever the command line already picks a member of that group.
     """
-    sub = _subparser(parser, command)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -306,10 +295,6 @@ def cmd_simulate(args):
     else:
         forcing = ForcingSpec.zero()
     result = simulate(u0, forcing, config)
-
-    written = []
-    _write_atomic(os.path.join(args.out, "trace.csv"), result.trace.to_csv())
-    written.append("trace.csv")
     meta = {
         "command": "simulate",
         "version": __version__,
@@ -327,12 +312,9 @@ def cmd_simulate(args):
                  "slope": args.slope, "seed": args.seed},
         "forcing": {"kind": args.forcing, "amplitude": args.f_amp},
     }
-    _write_atomic(os.path.join(args.out, "meta.json"), _json_text(meta))
-    written.append("meta.json")
-    _finish_out(args.out, written, "simulate")
     print(f"simulate: {result.termination} at t={result.trace.t[-1]:g} "
           f"({len(result.trace)} samples)")
-    return EXIT_OK
+    return EXIT_OK, {"trace.csv": result.trace.to_csv(), "meta.json": _json_text(meta)}
 
 
 def cmd_bounds(args):
@@ -343,42 +325,25 @@ def cmd_bounds(args):
         l2=args.l2, h1_sq=args.h1sq, t_end=args.T,
         f_l2=args.f, int_f_sq=args.intf2,
     )
+    # the criteria raise for --steady without --f or an infinite --T, --timedep without --intf2
     if args.free:
         report = arctan_bound_free(inputs, ledger)
     elif args.steady:
-        if args.f is None:
-            raise UsageError("--steady requires --f (force L2 norm)")
-        if not math.isfinite(args.T):
-            raise UsageError("--steady requires a finite --T")
         report = arctan_bound_steady(args.T, inputs, ledger)
     else:
-        if args.intf2 is None:
-            raise UsageError("--timedep requires --intf2")
         report = arctan_bound_timedep(args.T, inputs, ledger)
 
     payload = {"report": report.to_json_dict(), "ledger": ledger.to_json_dict()}
-    written = []
-    _emit(args, "report.json", _json_text(payload), written)
-    if args.out:
-        _finish_out(args.out, written, "bounds")
-    return EXIT_OK
+    return EXIT_OK, {"report.json": _json_text(payload)}
 
 
 def _compare_csv(table, sims):
-    cols = ["l2", "h1_sq", "classical_horizon", "criterion_lhs",
-            "criterion_satisfied", "margin", "printed_lhs",
-            "printed_satisfied", "extends_classical"]
+    cols = [f.name for f in fields(ComparisonRow)]
     if sims:
         cols += ["sim_status", "sim_monitor_passed", "sim_max_h1_sq"]
     lines = [",".join(cols)]
     for i, row in enumerate(table.rows):
-        vals = [
-            "%.17g" % row.l2, "%.17g" % row.h1_sq,
-            "%.17g" % row.classical_horizon,
-            "%.17g" % row.criterion_lhs, "%d" % row.criterion_satisfied,
-            "%.17g" % row.margin, "%.17g" % row.printed_lhs,
-            "%d" % row.printed_satisfied, "%d" % row.extends_classical,
-        ]
+        vals = [("%d" if isinstance(v, bool) else "%.17g") % v for v in astuple(row)]
         if sims:
             s = sims[i]
             vals += [s["status"],
@@ -432,12 +397,8 @@ def cmd_compare(args):
     payload = table.to_json_dict()
     payload["simulations"] = sims
     payload["soundness_violations"] = soundness_violations
-    written = []
-    _emit(args, "compare.csv", _compare_csv(table, sims), written)
-    _emit(args, "report.json", _json_text(payload), written)
-    if args.out:
-        _finish_out(args.out, written, "compare")
-    return EXIT_OK
+    return EXIT_OK, {"compare.csv": _compare_csv(table, sims),
+                     "report.json": _json_text(payload)}
 
 
 def cmd_calibrate(args):
@@ -449,41 +410,29 @@ def cmd_calibrate(args):
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    written = []
-    _emit(args, "report.json", _json_text(result.to_json_dict()), written)
-    if args.out:
-        _finish_out(args.out, written, "calibrate")
-    return EXIT_OK
-
-
-def _report_from_json(payload):
-    rep = payload.get("report", payload)
-    horizon = rep.get("horizon")
-    horizon = math.inf if horizon is None else float(horizon)
-    bound = None
-    if rep["satisfied"]:
-        bound = BoundCurve(kind=rep["kind"], horizon=horizon,
-                           params={"lhs": rep["lhs"], "t_end": horizon})
-    return CriterionReport(kind=rep["kind"], lhs=rep["lhs"],
-                           satisfied=rep["satisfied"], margin=rep["margin"],
-                           bound=bound, threshold=rep.get("threshold", THRESHOLD))
+    return EXIT_OK, {"report.json": _json_text(result.to_json_dict())}
 
 
 def cmd_monitor(args):
     if not args.trace:
         raise UsageError("monitor requires --trace")
+    tols = (args.h1_tol, args.energy_tol, args.solver_rel_tol, args.dominance_rel_tol)
+    if not all(tol is None or math.isfinite(tol) for tol in tols):
+        raise UsageError("monitor tolerances must be finite")
     meta_path = args.meta or os.path.join(os.path.dirname(args.trace), "meta.json")
-    nu = args.nu
-    if os.path.exists(meta_path):
+    if args.meta or os.path.exists(meta_path):
         with open(meta_path) as fh:
             meta = json.load(fh)
-        nu = meta.get("config", {}).get("nu", nu)
-    trace = NormTrace.from_csv(args.trace, nu=nu)
-    ledger = derive_constants(nu, args.lam1, args.c_sobolev, args.c_interp)
+        try:
+            args.nu = float(meta.get("config", {}).get("nu", args.nu))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{meta_path}: no numeric config.nu") from exc
+    trace = NormTrace.from_csv(args.trace, nu=args.nu)
+    ledger = _ledger_from(args)
     report = None
     if args.report:
         with open(args.report) as fh:
-            report = _report_from_json(json.load(fh))
+            report = CriterionReport.from_json_dict(json.load(fh))
         if not report.satisfied:
             raise UsageError("the supplied criterion report is not satisfied; "
                              "bound dominance is undefined")
@@ -491,15 +440,9 @@ def cmd_monitor(args):
                       h1_tol=args.h1_tol, energy_tol=args.energy_tol,
                       solver_rel_tol=args.solver_rel_tol,
                       dominance_rel_tol=args.dominance_rel_tol)
-    written = []
-    _emit(args, "report.json", _json_text(mon.to_json_dict()), written)
-    if args.out:
-        _finish_out(args.out, written, "monitor")
-    if mon.solver_diagnostic_failed:
-        return EXIT_SOLVER_DIAGNOSTIC
-    if not mon.passed:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    code = (EXIT_SOLVER_DIAGNOSTIC if mon.solver_diagnostic_failed
+            else EXIT_OK if mon.passed else EXIT_VIOLATION)
+    return code, {"report.json": _json_text(mon.to_json_dict())}
 
 
 _COMMANDS = {
@@ -512,20 +455,34 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    """Run one command, write or print its files, and map failures to exit codes."""
+    failures = (  # (exception type, exit code, message prefix); the first match wins
+        (UsageError, EXIT_USAGE, "error"),
+        (ConfigurationError, EXIT_USAGE, "configuration error"),
+        (PoincareConsistencyError, EXIT_NORM_INCONSISTENT, "inconsistent norms"),
+        (GridMismatchError, EXIT_NORM_INCONSISTENT, "inconsistent input"),
+        (json.JSONDecodeError, EXIT_NORM_INCONSISTENT, "malformed JSON"),
+        (InvariantViolationError, EXIT_SOLVER_DIAGNOSTIC, "solver invariant lost"),
+        (OSError, EXIT_NO_INPUT, "cannot access file"),
+    )
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return _COMMANDS[args.command](args)
+        code, files = _COMMANDS[args.command](args)
+        if args.out:
+            index = {"command": args.command, "files": sorted(files)}
+            for name, text in {**files, "index.json": _json_text(index)}.items():
+                _write_atomic(os.path.join(args.out, name), text)
+        else:
+            sys.stdout.write("".join(files.values()))
+        return code
     except SystemExit as exc:  # argparse --help/--version/errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except UsageError as exc:
-        print(f"nsreg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigurationError as exc:
-        print(f"nsreg: configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PoincareConsistencyError as exc:
-        print(f"nsreg: inconsistent norms: {exc}", file=sys.stderr)
-        return EXIT_NORM_INCONSISTENT
+    except Exception as exc:
+        for kind, code, prefix in failures:
+            if isinstance(exc, kind):
+                print(f"nsreg: {prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

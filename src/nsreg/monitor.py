@@ -26,6 +26,9 @@ import numpy as np
 from .errors import GridMismatchError
 from .solver import energy_balance_residual
 
+#: factor on the modelled differencing error in the default tolerances
+SAFETY = 4.0
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -63,14 +66,17 @@ class MonitorReport:
         }
 
 
-def _exceeds(value, tol):
-    """Samples where ``value <= tol`` fails; a non-finite value always fails."""
-    return ~(np.isfinite(value) & (value <= tol))
-
-
-def _first_violation(t, mask):
-    idx = np.flatnonzero(mask)
-    return float(t[idx[0]]) if idx.size else None
+def _check(name, t, value, limit, max_violation, tolerance):
+    """Result of a check that fails where ``value <= limit`` fails; a
+    non-finite value always fails."""
+    bad = np.flatnonzero(~(np.isfinite(value) & (value <= limit)))
+    return CheckResult(
+        name=name,
+        passed=not bad.size,
+        max_violation=float(max_violation),
+        first_violation_t=float(t[bad[0]]) if bad.size else None,
+        tolerance=tolerance,
+    )
 
 
 def _effective_stiffness(trace):
@@ -85,7 +91,7 @@ def _max_dt(trace):
     return float(np.diff(trace.t).max()) if len(trace) > 1 else 0.0
 
 
-def solver_energy_diagnostic(trace, rel_tol=None, safety=4.0):
+def solver_energy_diagnostic(trace, rel_tol=None):
     """Check that the energy-balance residual is discretization-sized.
 
     The default tolerance models the centered-difference error of
@@ -95,18 +101,13 @@ def solver_energy_diagnostic(trace, rel_tol=None, safety=4.0):
     scale = float(max(trace.nu * trace.h1_sq.max(), abs(trace.f_dot_u).max(), 1e-300))
     if rel_tol is None:
         x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
-        rel_tol = min(0.05, max(1e-10, safety * x * x / 6.0))
-    bad = _exceeds(np.abs(residual), rel_tol * scale)
-    return CheckResult(
-        name="solver_energy_balance",
-        passed=not bad.any(),
-        max_violation=float(np.abs(residual).max() / scale) if scale > 0 else 0.0,
-        first_violation_t=_first_violation(trace.t, bad),
-        tolerance=rel_tol,
-    )
+        rel_tol = min(0.05, max(1e-10, SAFETY * x * x / 6.0))
+    abs_residual = np.abs(residual)
+    return _check("solver_energy_balance", trace.t, abs_residual, rel_tol * scale,
+                  abs_residual.max() / scale if scale > 0 else 0.0, rel_tol)
 
 
-def check_h1_inequality(trace, ledger, tol=None, safety=4.0):
+def check_h1_inequality(trace, ledger, tol=None):
     """Residuals d/dt h1_sq - c3 |f|^2 - c6 h1_sq^3 per sample.
 
     The inequality predicts residuals <= 0 up to differencing error;
@@ -124,16 +125,10 @@ def check_h1_inequality(trace, ledger, tol=None, safety=4.0):
         diff_err = x * x / 6.0  # float ** 2 raises OverflowError, x * x gives inf
         tol = max(
             1e-3 * float(rhs.max(initial=0.0)),
-            safety * diff_err * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)),
+            SAFETY * diff_err * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)),
         )
-    bad = _exceeds(residual, tol)
-    return residual, CheckResult(
-        name="h1_differential_inequality",
-        passed=not bad.any(),
-        max_violation=float(residual.max()),
-        first_violation_t=_first_violation(trace.t, bad),
-        tolerance=tol,
-    )
+    return residual, _check("h1_differential_inequality", trace.t, residual, tol,
+                            residual.max(), tol)
 
 
 def check_energy_inequality(trace, ledger, tol=None):
@@ -144,14 +139,7 @@ def check_energy_inequality(trace, ledger, tol=None):
     if tol is None:
         scale = float(max(trace.l2_sq.max(), rhs.max(), 1e-300))
         tol = 1e-9 * scale + 1e-12
-    bad = _exceeds(excess, tol)
-    return CheckResult(
-        name="cumulative_energy_inequality",
-        passed=not bad.any(),
-        max_violation=float(excess.max()),
-        first_violation_t=_first_violation(trace.t, bad),
-        tolerance=tol,
-    )
+    return _check("cumulative_energy_inequality", trace.t, excess, tol, excess.max(), tol)
 
 
 def check_bound_dominance(trace, report, rel_tol=1e-6):
@@ -166,14 +154,8 @@ def check_bound_dominance(trace, report, rel_tol=1e-6):
     ts = np.minimum(trace.t, curve.horizon)
     values = np.asarray(curve.evaluate(ts), dtype=float)
     excess = trace.h1_sq - values * (1.0 + rel_tol)
-    bad = _exceeds(excess, 0.0)
-    return CheckResult(
-        name=f"bound_dominance[{curve.kind}]",
-        passed=not bad.any(),
-        max_violation=float(excess.max()),
-        first_violation_t=_first_violation(trace.t, bad),
-        tolerance=rel_tol,
-    )
+    return _check(f"bound_dominance[{curve.kind}]", trace.t, excess, 0.0,
+                  excess.max(), rel_tol)
 
 
 def run_monitor(trace, ledger, report=None, h1_tol=None, energy_tol=None,

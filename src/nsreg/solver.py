@@ -16,6 +16,7 @@ force inner product, and trapezoidal running integrals to a
 import io
 import math
 import time as _time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -156,15 +157,24 @@ class NormTrace:
         """Load a trace written by :meth:`to_csv`.
 
         The per-sample force norm is reconstructed from the slope of the
-        running integral ``int_f_sq``.
+        running integral ``int_f_sq``.  A cell that is not a finite
+        number, a short row or an empty body raises
+        :class:`ConfigurationError`.
         """
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # undecodable bytes fail as bad cells
             header = fh.readline().strip()
             if header != ",".join(TRACE_COLUMNS):
                 raise ConfigurationError(f"{path}: unexpected trace header {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)  # loadtxt warns on no data
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except (ValueError, UserWarning) as exc:
+                raise ConfigurationError(f"{path}: {exc}") from exc
         if data.shape[1] != len(TRACE_COLUMNS):
             raise ConfigurationError(f"{path}: wrong column count")
+        if not np.all(np.isfinite(data)):
+            raise ConfigurationError(f"{path}: trace has non-finite entries")
         t = data[:, 0]
         f_sq = np.gradient(data[:, 6], t) if len(t) > 1 else np.zeros_like(t)
         f_sq = np.maximum(f_sq, 0.0)
@@ -181,34 +191,6 @@ class SimulationResult:
     blowup_time: Optional[float]
     blowup_reason: Optional[str]
     wall_time_s: float
-
-
-class _TraceBuilder:
-    def __init__(self, nu):
-        self.nu = nu
-        self.rows = {name: [] for name in
-                     ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "f_sq")}
-        self.int_h1_sq = []
-        self.int_f_sq = []
-
-    def append(self, t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq):
-        r = self.rows
-        if r["t"]:
-            dt = t - r["t"][-1]
-            self.int_h1_sq.append(self.int_h1_sq[-1] + 0.5 * dt * (r["h1_sq"][-1] + h1_sq))
-            self.int_f_sq.append(self.int_f_sq[-1] + 0.5 * dt * (r["f_sq"][-1] + f_sq))
-        else:
-            self.int_h1_sq.append(0.0)
-            self.int_f_sq.append(0.0)
-        for name, value in zip(r, (t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq)):
-            r[name].append(value)
-
-    def build(self):
-        r = {name: np.array(vals) for name, vals in self.rows.items()}
-        return NormTrace(t=r["t"], l2_sq=r["l2_sq"], h1_sq=r["h1_sq"],
-                         h2_sq=r["h2_sq"], f_dot_u=r["f_dot_u"], f_sq=r["f_sq"],
-                         int_h1_sq=np.array(self.int_h1_sq),
-                         int_f_sq=np.array(self.int_f_sq), nu=self.nu)
 
 
 class _Stepper:
@@ -315,7 +297,9 @@ def _sample(grid, coeffs, fhat):
         f_sq = 0.0
     else:
         mult = grid.norm_weights_half[0]
-        f_dot_u = float(vol * np.vdot(fhat * mult, coeffs).real)
+        # elementwise, not np.vdot: a BLAS dot is slow when its threads meet a busy core
+        f_dot_u = vol * float((mult * (fhat.real * coeffs.real
+                                       + fhat.imag * coeffs.imag)).sum())
         f_sq = vol * _kernels.weighted_spectral_sum(fhat, mult)
     return l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
 
@@ -348,11 +332,10 @@ def simulate(u0, forcing, config):
     start = _time.perf_counter()
     grid = u0.grid
     stepper = _Stepper(grid, forcing, config)
-    builder = _TraceBuilder(config.nu)
 
     coeffs = np.ascontiguousarray(to_half(u0))
     t = 0.0
-    builder.append(t, *_sample(grid, coeffs, stepper.force_spectrum(t)))
+    samples = [(t, *_sample(grid, coeffs, stepper.force_spectrum(t)))]
 
     termination = "completed"
     blowup_time = None
@@ -370,18 +353,26 @@ def simulate(u0, forcing, config):
             break
         _check_invariants(grid, new, t_new)
         fhat = stepper.force_spectrum(t_new)
-        l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = _sample(grid, new, fhat)
-        if h1_sq > config.blowup_h1_sq_ceiling:
+        sample = _sample(grid, new, fhat)
+        if sample[1] > config.blowup_h1_sq_ceiling:  # h1_sq
             termination = "blowup"
             blowup_time = t
             blowup_reason = "h1_sq ceiling exceeded"
             break
         coeffs = new
         t = t_new
-        builder.append(t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq)
+        samples.append((t, *sample))
 
+    t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = np.array(samples).T
+
+    def running_integral(y):
+        return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (y[:-1] + y[1:]))])
+
+    trace = NormTrace(t=t, l2_sq=l2_sq, h1_sq=h1_sq, h2_sq=h2_sq, f_dot_u=f_dot_u,
+                      f_sq=f_sq, int_h1_sq=running_integral(h1_sq),
+                      int_f_sq=running_integral(f_sq), nu=config.nu)
     return SimulationResult(
-        trace=builder.build(),
+        trace=trace,
         final_state=SpectralVelocity(grid, from_half(coeffs, grid)),
         termination=termination,
         blowup_time=blowup_time,

@@ -9,6 +9,7 @@ import pytest
 from nsreg import (
     ConfigurationError,
     CriterionInput,
+    CriterionReport,
     HorizonExceededError,
     PoincareConsistencyError,
     arctan_bound_free,
@@ -288,6 +289,42 @@ def test_report_json_schema(ledger):
     assert payload["horizon"] is None  # infinite horizon serializes as null
     assert len(payload["bound_at"]) == 11
     assert all(set(p) == {"t", "value"} for p in payload["bound_at"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda led: arctan_bound_free(CriterionInput(l2=0.05, h1_sq=0.7), led),
+    lambda led: arctan_bound_free(CriterionInput(l2=1.0, h1_sq=1.0), led),
+    lambda led: arctan_bound_steady(1.0, CriterionInput(l2=0.05, h1_sq=1.0, f_l2=0.01), led),
+    lambda led: arctan_bound_timedep(math.inf, CriterionInput(l2=0.05, h1_sq=0.5,
+                                                              int_f_sq=0.001), led),
+])
+def test_report_json_round_trip(ledger, make):
+    rep = make(ledger)
+    assert CriterionReport.from_json_dict(rep.to_json_dict()) == rep
+    assert CriterionReport.from_json_dict({"report": rep.to_json_dict()}) == rep
+
+
+def test_report_from_json_recomputes_verdict():
+    forged = {"kind": "arctan_free", "lhs": 4.6, "satisfied": True,
+              "margin": 1.0, "horizon": None}
+    rep = CriterionReport.from_json_dict(forged)
+    assert rep.satisfied is False
+    assert rep.bound is None
+    assert rep.margin == pytest.approx(THRESHOLD - 4.6)
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "classical_free", "lhs": 0.1, "horizon": None},
+    {"kind": "arctan_free", "lhs": math.nan, "horizon": None},
+    {"kind": "arctan_free", "lhs": -0.5, "horizon": None},
+    {"kind": "arctan_steady", "lhs": 0.5, "horizon": -1.0},
+    {"kind": "arctan_free", "horizon": None},
+    {"kind": "arctan_free", "lhs": "abc"},
+    [0.5],
+])
+def test_report_from_json_rejects_non_certificates(payload):
+    with pytest.raises(ConfigurationError):
+        CriterionReport.from_json_dict(payload)
 
 
 # ---------------------------------------------------------------- ODE oracle

@@ -1,12 +1,21 @@
 """End-to-end tests of the command-line interface and its wire formats."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nsreg.cli
 from nsreg.cli import (
+    EXIT_NO_INPUT,
     EXIT_NORM_INCONSISTENT,
     EXIT_OK,
     EXIT_SOLVER_DIAGNOSTIC,
@@ -14,6 +23,7 @@ from nsreg.cli import (
     EXIT_VIOLATION,
     main,
 )
+from nsreg.errors import InvariantViolationError
 
 
 def run(args):
@@ -123,6 +133,12 @@ def test_bounds_poincare_violation_exit_code():
 
 def test_bounds_requires_kind():
     assert run(["bounds", "--l2", "0", "--h1sq", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", [["--steady"], ["--steady", "--f", "1"], ["--timedep"]])
+def test_bounds_missing_force_data_is_usage_error(kind):
+    # --steady needs --f and a finite --T; --timedep needs --intf2
+    assert run(["bounds", *kind, "--l2", "0", "--h1sq", "1"]) == EXIT_USAGE
 
 
 # ------------------------------------------------------------------ compare
@@ -290,3 +306,135 @@ def test_unknown_flag_is_usage_error():
 
 def test_no_subcommand_is_usage_error():
     assert run([]) == EXIT_USAGE
+
+
+# ------------------------------------------------- monitor inputs fail closed
+
+@pytest.fixture(scope="module")
+def shear_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shear") / "run"
+    assert run(["simulate", "--init", "shear", "--N", "8", "--T", "0.05",
+                "--dt", "5e-3", "--out", out]) == EXIT_OK
+    return out
+
+
+def test_monitor_missing_trace(tmp_path):
+    assert run(["monitor", "--trace", tmp_path / "missing.csv"]) == EXIT_NO_INPUT
+
+
+def test_monitor_missing_report(shear_run, tmp_path):
+    code = run(["monitor", "--trace", shear_run / "trace.csv",
+                "--report", tmp_path / "nope.json"])
+    assert code == EXIT_NO_INPUT
+
+
+def test_monitor_missing_explicit_meta(shear_run, tmp_path):
+    code = run(["monitor", "--trace", shear_run / "trace.csv",
+                "--meta", tmp_path / "nope.json"])
+    assert code == EXIT_NO_INPUT
+
+
+def test_monitor_one_sample_trace(shear_run, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("".join((shear_run / "trace.csv").read_text().splitlines(True)[:2]))
+    assert run(["monitor", "--trace", path]) == EXIT_NORM_INCONSISTENT
+
+
+def test_monitor_undecodable_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\xff\xfe\x00abc\n")
+    assert run(["monitor", "--trace", path]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", ["--h1-tol", "--energy-tol", "--solver-rel-tol",
+                                  "--dominance-rel-tol"])
+def test_monitor_rejects_non_finite_tolerance(shear_run, flag):
+    assert run(["monitor", "--trace", shear_run / "trace.csv", flag, "nan"]) == EXIT_USAGE
+
+
+def test_monitor_non_numeric_trace_cell(shear_run, tmp_path):
+    lines = (shear_run / "trace.csv").read_text().splitlines(True)
+    lines[3] = "abc" + lines[3][lines[3].index(","):]
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(lines))
+    assert run(["monitor", "--trace", path]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", ["--report", "--meta"])
+def test_monitor_truncated_json(shear_run, tmp_path, flag):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"kind": "arctan_free", "lhs": 0.5, "sat')
+    code = run(["monitor", "--trace", shear_run / "trace.csv", flag, path])
+    assert code == EXIT_NORM_INCONSISTENT
+
+
+def test_monitor_meta_without_numeric_viscosity(shear_run, tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text('{"config": {"nu": "fast"}}')
+    code = run(["monitor", "--trace", shear_run / "trace.csv", "--meta", path])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("payload", [
+    '{"kind": "arctan_free", "lhs": 4.6, "satisfied": true, "horizon": null}',
+    '{"kind": "classical_free", "lhs": 0.1, "satisfied": true, "horizon": null}',
+    '{"kind": "arctan_free", "lhs": NaN, "satisfied": true, "horizon": null}',
+])
+def test_monitor_rejects_forged_certificate(shear_run, tmp_path, payload):
+    path = tmp_path / "report.json"
+    path.write_text(payload)
+    code = run(["monitor", "--trace", shear_run / "trace.csv", "--report", path])
+    assert code == EXIT_USAGE
+
+
+def test_lost_solver_invariant_exit_code(monkeypatch, tmp_path):
+    def lose_invariant(*args):
+        raise InvariantViolationError("divergence-free invariant violated at t=0")
+
+    monkeypatch.setattr(nsreg.cli, "simulate", lose_invariant)
+    code = run(["simulate", "--N", "8", "--T", "0.01", "--out", tmp_path / "x"])
+    assert code == EXIT_SOLVER_DIAGNOSTIC
+
+
+def _mutate(lines, draw):
+    """One corruption of a trace.csv given as header + data lines."""
+    header, rows = lines[0], [r.split(",") for r in lines[1:]]
+    kind = draw(st.sampled_from(["cell", "short", "rows", "swap"]))
+    if kind == "cell":
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "abc", ""]))
+    elif kind == "short":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:draw(st.integers(1, len(rows[i]) - 1))]
+    elif kind == "rows":
+        rows = rows[:draw(st.integers(0, 1))]
+    else:
+        i, j = sorted(draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        rows[i][0], rows[j][0] = rows[j][0], rows[i][0]
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monitor_corrupted_trace_never_passes(shear_run, data):
+    lines = (shear_run / "trace.csv").read_text().splitlines()
+    path = shear_run.parent / "mutated" / "trace.csv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(_mutate(lines, data.draw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["monitor", "--trace", path])
+    assert code in (EXIT_USAGE, EXIT_NORM_INCONSISTENT)
+
+
+def test_entry_point_missing_trace_exit_code(tmp_path):
+    src = os.path.dirname(os.path.dirname(nsreg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsreg.cli", "monitor", "--trace", tmp_path / "missing.csv"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_NO_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "missing.csv" in proc.stderr

@@ -23,7 +23,7 @@ from nsreg import (
     step,
 )
 from nsreg.errors import GridMismatchError, InvariantViolationError
-from nsreg.solver import _check_invariants
+from nsreg.solver import _check_invariants, _sample, _Stepper
 from nsreg.spectral import to_half
 
 
@@ -328,3 +328,14 @@ def test_forcing_accumulator_matches_steady_value(grid16):
     res = simulate(zero_field(grid16), f, cfg)
     f_sq = sobolev_norm(f.steady_field, 0) ** 2
     assert res.trace.int_f_sq[-1] == pytest.approx(0.1 * f_sq, rel=1e-12)
+
+
+def test_sample_force_inner_product_matches_full_fields(grid16):
+    f = random_divfree_field(grid16, 4, -2.0, 2.0)
+    forcing = ForcingSpec.steady(f)
+    cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=1.0)
+    u = step(random_divfree_field(grid16, 3), forcing, 0.0, 1e-3, cfg)
+    fhat = _Stepper(grid16, forcing, cfg).force_spectrum(1e-3)
+    f_dot_u = _sample(grid16, to_half(u), fhat)[3]
+    assert f_dot_u != 0.0
+    assert f_dot_u == pytest.approx(inner_product(f, u), rel=1e-13)
