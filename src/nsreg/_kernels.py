@@ -47,7 +47,11 @@ def leray_project_modes(vhat, kx, ky, kz):
 def weighted_spectral_sum(vhat, weight):
     """sum_k weight(k) * |vhat(k)|^2, summed over the three components.
 
-    ``weight`` has the shape of one component of ``vhat``.
+    ``weight`` has the shape of one component of ``vhat``, and the result
+    is a float; or it stacks such weights along a leading axis, and the
+    result is a list with one sum per weight, |vhat|^2 formed once.
     """
     mag = (vhat.real * vhat.real + vhat.imag * vhat.imag).sum(axis=0)
-    return float((weight * mag).sum())
+    if weight.ndim == mag.ndim:
+        return float((weight * mag).sum())
+    return [float((w * mag).sum()) for w in weight]

@@ -132,7 +132,7 @@ class CriterionInput:
     def __post_init__(self):
         if not (0 <= self.l2 < math.inf and 0 <= self.h1_sq < math.inf):
             raise ConfigurationError("initial norms must be finite and non-negative")
-        if self.t_end < 0:
+        if not self.t_end >= 0:  # also rejects NaN
             raise ConfigurationError("time window must be non-negative")
         for name in ("f_l2", "int_f_sq"):
             val = getattr(self, name)

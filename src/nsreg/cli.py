@@ -87,6 +87,24 @@ def _write_atomic(path, text):
         raise
 
 
+def _finite(raw):
+    """argparse type of the float options: a finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _load_json(path):
+    """Parse a JSON file; a parse error names the file."""
+    with open(path, errors="replace") as fh:  # undecodable bytes fail as malformed JSON
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+
+
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -96,12 +114,12 @@ def _ledger_from(args):
 
 
 def _add_ledger_flags(p):
-    p.add_argument("--nu", type=float, default=1.0, help="kinematic viscosity")
-    p.add_argument("--lam1", type=float, default=1.0,
+    p.add_argument("--nu", type=_finite, default=1.0, help="kinematic viscosity")
+    p.add_argument("--lam1", type=_finite, default=1.0,
                    help="smallest positive eigenvalue of the diffusion operator")
-    p.add_argument("--c-sobolev", type=float, default=DEFAULT_C_SOBOLEV,
+    p.add_argument("--c-sobolev", type=_finite, default=DEFAULT_C_SOBOLEV,
                    help="L6 embedding constant (default: pinned calibration)")
-    p.add_argument("--c-interp", type=float, default=DEFAULT_C_INTERP,
+    p.add_argument("--c-interp", type=_finite, default=DEFAULT_C_INTERP,
                    help="L3 interpolation constant (default: pinned calibration)")
 
 
@@ -118,21 +136,21 @@ def build_parser():
     p = sub.add_parser("simulate", help="run a simulation and write its norm trace")
     _add_common(p)
     p.add_argument("--N", type=int, default=16, help="grid points per axis")
-    p.add_argument("--L", type=float, default=2.0 * math.pi, help="domain period")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=1.0, help="final time")
-    p.add_argument("--dt", type=float, default=1e-3, help="time step")
+    p.add_argument("--L", type=_finite, default=2.0 * math.pi, help="domain period")
+    p.add_argument("--nu", type=_finite, default=1.0)
+    p.add_argument("--T", type=_finite, default=1.0, help="final time")
+    p.add_argument("--dt", type=_finite, default=1e-3, help="time step")
     p.add_argument("--integrator", choices=("if_rk4", "if_rk2"), default="if_rk4")
-    p.add_argument("--cfl", type=float, default=None,
+    p.add_argument("--cfl", type=_finite, default=None,
                    help="optional CFL cap: dt <= cfl * dx / max|u|")
     p.add_argument("--init", choices=("shear", "zero", "random"), default="random")
-    p.add_argument("--amplitude", type=float, default=1.0, help="initial L2 norm")
-    p.add_argument("--slope", type=float, default=-2.0,
+    p.add_argument("--amplitude", type=_finite, default=1.0, help="initial L2 norm")
+    p.add_argument("--slope", type=_finite, default=-2.0,
                    help="energy spectrum slope of random initial fields")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--forcing", choices=("zero", "kolmogorov"), default="zero")
-    p.add_argument("--f-amp", type=float, default=1.0, help="forcing amplitude")
-    p.add_argument("--blowup-ceiling", type=float, default=1e12,
+    p.add_argument("--f-amp", type=_finite, default=1.0, help="forcing amplitude")
+    p.add_argument("--blowup-ceiling", type=_finite, default=1e12,
                    help="h1_sq ceiling treated as numerical blowup")
 
     p = sub.add_parser("bounds", help="evaluate a regularity criterion from scalars")
@@ -142,17 +160,17 @@ def build_parser():
     kind.add_argument("--steady", action="store_true", help="steady-force criterion")
     kind.add_argument("--timedep", action="store_true",
                       help="square-integrable-force criterion")
-    p.add_argument("--l2", type=float, default=0.0, help="initial L2 norm")
-    p.add_argument("--h1sq", type=float, default=0.0, help="initial squared H1 norm")
+    p.add_argument("--l2", type=_finite, default=0.0, help="initial L2 norm")
+    p.add_argument("--h1sq", type=_finite, default=0.0, help="initial squared H1 norm")
     p.add_argument("--T", type=float, default=math.inf, help="time window")
-    p.add_argument("--f", type=float, default=None, help="steady force L2 norm")
-    p.add_argument("--intf2", type=float, default=None,
+    p.add_argument("--f", type=_finite, default=None, help="steady force L2 norm")
+    p.add_argument("--intf2", type=_finite, default=None,
                    help="time integral of the squared force norm")
     _add_ledger_flags(p)
 
     p = sub.add_parser("compare", help="classical horizon vs global criterion sweep")
     _add_common(p)
-    p.add_argument("--h1sq", type=float, default=1.0, help="fixed squared H1 norm")
+    p.add_argument("--h1sq", type=_finite, default=1.0, help="fixed squared H1 norm")
     p.add_argument("--l2-sweep", default="1,0.1,0.01",
                    help="comma-separated initial L2 norms")
     p.add_argument("--t-star", type=float, default=None,
@@ -161,33 +179,33 @@ def build_parser():
     p.add_argument("--simulate", action="store_true", dest="attach_sims",
                    help="attach a monitored simulation to each sweep point")
     p.add_argument("--N", type=int, default=16)
-    p.add_argument("--L", type=float, default=2.0 * math.pi)
-    p.add_argument("--T", type=float, default=1.0, help="simulation length")
-    p.add_argument("--dt", type=float, default=2e-3)
+    p.add_argument("--L", type=_finite, default=2.0 * math.pi)
+    p.add_argument("--T", type=_finite, default=1.0, help="simulation length")
+    p.add_argument("--dt", type=_finite, default=2e-3)
     p.add_argument("--seed", type=int, default=0)
     _add_ledger_flags(p)
 
     p = sub.add_parser("calibrate", help="empirical embedding-constant lower bounds")
     _add_common(p)
     p.add_argument("--N", type=int, default=16)
-    p.add_argument("--L", type=float, default=2.0 * math.pi)
+    p.add_argument("--L", type=_finite, default=2.0 * math.pi)
     p.add_argument("--ensemble", type=int, default=8, help="number of random fields")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slope", type=float, default=-2.0)
+    p.add_argument("--slope", type=_finite, default=-2.0)
     p.add_argument("--oversample", type=int, default=4,
                    help="quadrature oversampling factor (>= 2)")
-    p.add_argument("--c-sobolev", type=float, default=DEFAULT_C_SOBOLEV)
-    p.add_argument("--c-interp", type=float, default=DEFAULT_C_INTERP)
+    p.add_argument("--c-sobolev", type=_finite, default=DEFAULT_C_SOBOLEV)
+    p.add_argument("--c-interp", type=_finite, default=DEFAULT_C_INTERP)
 
     p = sub.add_parser("monitor", help="verify inequality chain along a trace")
     _add_common(p)
     p.add_argument("--trace", help="trace.csv produced by simulate")
     p.add_argument("--meta", help="meta.json of the run (default: next to trace)")
     p.add_argument("--report", help="criterion report.json for bound dominance")
-    p.add_argument("--h1-tol", type=float, default=None)
-    p.add_argument("--energy-tol", type=float, default=None)
-    p.add_argument("--solver-rel-tol", type=float, default=None)
-    p.add_argument("--dominance-rel-tol", type=float, default=1e-6)
+    p.add_argument("--h1-tol", type=_finite, default=None)
+    p.add_argument("--energy-tol", type=_finite, default=None)
+    p.add_argument("--solver-rel-tol", type=_finite, default=None)
+    p.add_argument("--dominance-rel-tol", type=_finite, default=1e-6)
     _add_ledger_flags(p)
 
     return parser
@@ -204,7 +222,7 @@ def _coerce(action, raw, key):
     if action.type is not None:
         try:
             action.type(raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
     return raw
 
@@ -219,9 +237,9 @@ def _config_tokens(parser, command, path, user_argv):
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction)).choices[command]
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
 
     user_tokens = set(user_argv)
@@ -416,13 +434,9 @@ def cmd_calibrate(args):
 def cmd_monitor(args):
     if not args.trace:
         raise UsageError("monitor requires --trace")
-    tols = (args.h1_tol, args.energy_tol, args.solver_rel_tol, args.dominance_rel_tol)
-    if not all(tol is None or math.isfinite(tol) for tol in tols):
-        raise UsageError("monitor tolerances must be finite")
     meta_path = args.meta or os.path.join(os.path.dirname(args.trace), "meta.json")
     if args.meta or os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        meta = _load_json(meta_path)
         try:
             args.nu = float(meta.get("config", {}).get("nu", args.nu))
         except (AttributeError, TypeError, ValueError) as exc:
@@ -431,8 +445,7 @@ def cmd_monitor(args):
     ledger = _ledger_from(args)
     report = None
     if args.report:
-        with open(args.report) as fh:
-            report = CriterionReport.from_json_dict(json.load(fh))
+        report = CriterionReport.from_json_dict(_load_json(args.report))
         if not report.satisfied:
             raise UsageError("the supplied criterion report is not satisfied; "
                              "bound dominance is undefined")

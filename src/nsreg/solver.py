@@ -7,8 +7,9 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  The stepper holds the state as a half spectrum (see
-:mod:`nsreg.spectral`).  Every accepted step appends L2/H1/H2 norms, the
+option).  The stepper holds the state as a half spectrum and runs the
+Runge-Kutta stages on its dealias band (see :mod:`nsreg.spectral`).  Every
+accepted step appends L2/H1/H2 norms, the
 force inner product, and trapezoidal running integrals to a
 :class:`NormTrace`.
 """
@@ -30,7 +31,15 @@ from .errors import (
     InvariantViolationError,
     NumericalBlowupError,
 )
-from .spectral import SpectralVelocity, convection_half, from_half, shear_field, to_half
+from .spectral import (
+    SpectralVelocity,
+    convection_band,
+    from_band,
+    from_half,
+    shear_field,
+    to_band,
+    to_half,
+)
 
 TRACE_COLUMNS = ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq", "residual")
 
@@ -196,8 +205,9 @@ class SimulationResult:
 class _Stepper:
     """Integrating-factor Runge-Kutta stepper bound to one grid and config.
 
-    States, right-hand sides and forcing are half spectra, shape
-    (3, N, N, N/2 + 1).
+    States and :meth:`force_spectrum` are half spectra, shape
+    (3, N, N, N/2 + 1); the stages, :meth:`rhs` and the projection work on
+    the dealias band, shape (3, B, B, kc) (see :func:`spectral.to_band`).
     """
 
     def __init__(self, grid, forcing, config):
@@ -205,57 +215,84 @@ class _Stepper:
         self.forcing = forcing
         self.config = config
         self._exp_cache = {}
+        self._steady = None  # (band, half spectrum) of a steady force, read-only
+        if forcing.kind == "steady":
+            band = self._force_band(0.0)
+            half = from_band(band, grid)
+            band.setflags(write=False)
+            half.setflags(write=False)
+            self._steady = (band, half)
 
     def _factors(self, dt):
+        """exp(-nu |k|^2 dt) on the half spectrum, and on the band for dt and dt/2."""
         cached = self._exp_cache.get(dt)
         if cached is None:
             lam = self.config.nu * self.grid.ksq_half
-            cached = (np.exp(-lam * dt), np.exp(-lam * (0.5 * dt)))
+            e_full = np.exp(-lam * dt)
+            e_half = to_band(np.exp(-lam * (0.5 * dt)), self.grid)
+            cached = (e_full, to_band(e_full, self.grid), e_half)
             if len(self._exp_cache) > 8:
                 self._exp_cache.clear()
             self._exp_cache[dt] = cached
         return cached
 
-    def _project(self, half):
+    def _project(self, band):
         g = self.grid
-        return _kernels.leray_project_modes(half, g.kx, g.kx, g.kz_half)
+        return _kernels.leray_project_modes(band, g.kx_band, g.kx_band, g.kz_band)
 
-    def force_spectrum(self, t):
+    def _force_band(self, t):
+        """Band of the force at time t (projected if time-dependent), or None."""
+        if self._steady is not None:
+            return self._steady[0]
         f = self.forcing.at(t)
         if f is None:
             return None
         if f.grid != self.grid:
             raise GridMismatchError("forcing grid does not match the state grid")
-        fhat = to_half(f) * self.grid.dealias_mask_half
+        band = to_band(to_half(f), self.grid)
         if self.forcing.kind == "time_dependent":
-            self._project(fhat)
-        return fhat
+            self._project(band)
+        return band
 
-    def rhs(self, coeffs, t):
-        """Convection + projected forcing; the stiff viscous part is exact."""
-        out = self._project(-convection_half(coeffs, self.grid))
-        fhat = self.force_spectrum(t)
-        if fhat is not None:
-            out += fhat
+    def force_spectrum(self, t):
+        """Dealiased half spectrum of the force at time t, or None."""
+        if self._steady is not None:
+            return self._steady[1]
+        band = self._force_band(t)
+        return None if band is None else from_band(band, self.grid)
+
+    def rhs(self, band, t):
+        """Convection + projected forcing on the band; the stiff viscous part is exact."""
+        out = self._project(-convection_band(band, self.grid))
+        fband = self._force_band(t)
+        if fband is not None:
+            out += fband
         return out
 
     def step(self, coeffs, t, dt):
-        e_full, e_half = self._factors(dt)
+        """Advance a half spectrum by dt.
+
+        The right-hand side vanishes outside the dealias band, where the
+        Runge-Kutta formula reduces to the viscous decay e_full * coeffs;
+        the stages run on the band only.
+        """
+        e_full, b_full, b_half = self._factors(dt)
+        c = to_band(coeffs, self.grid)
         if self.config.integrator == "if_rk4":
-            n1 = self.rhs(coeffs, t)
-            u2 = e_half * (coeffs + (0.5 * dt) * n1)
+            n1 = self.rhs(c, t)
+            u2 = b_half * (c + (0.5 * dt) * n1)
             n2 = self.rhs(u2, t + 0.5 * dt)
-            u3 = e_half * coeffs + (0.5 * dt) * n2
+            u3 = b_half * c + (0.5 * dt) * n2
             n3 = self.rhs(u3, t + 0.5 * dt)
-            u4 = e_full * coeffs + dt * e_half * n3
+            u4 = b_full * c + dt * b_half * n3
             n4 = self.rhs(u4, t + dt)
-            return e_full * coeffs + (dt / 6.0) * (
-                e_full * n1 + 2.0 * e_half * (n2 + n3) + n4
-            )
-        n1 = self.rhs(coeffs, t)
-        u2 = e_full * (coeffs + dt * n1)
-        n2 = self.rhs(u2, t + dt)
-        return e_full * coeffs + (0.5 * dt) * (e_full * n1 + n2)
+            new = b_full * c + (dt / 6.0) * (b_full * n1 + 2.0 * b_half * (n2 + n3) + n4)
+        else:
+            n1 = self.rhs(c, t)
+            u2 = b_full * (c + dt * n1)
+            n2 = self.rhs(u2, t + dt)
+            new = b_full * c + (0.5 * dt) * (b_full * n1 + n2)
+        return from_band(new, self.grid, out=e_full * coeffs)
 
     def cfl_dt(self, coeffs):
         if self.config.cfl is None:
@@ -290,8 +327,8 @@ def step(u, forcing, t, dt, config):
 def _sample(grid, coeffs, fhat):
     """(l2_sq, h1_sq, h2_sq, f_dot_u, f_sq) of a half-spectrum state."""
     vol = grid.volume
-    l2_sq, h1_sq, h2_sq = (vol * _kernels.weighted_spectral_sum(coeffs, w)
-                           for w in grid.norm_weights_half)
+    l2_sq, h1_sq, h2_sq = (vol * s for s in
+                           _kernels.weighted_spectral_sum(coeffs, grid.norm_weights_half))
     if fhat is None:
         f_dot_u = 0.0
         f_sq = 0.0

@@ -17,7 +17,11 @@ triple products exact.
 The time stepper works on the half spectrum, ``uhat[..., :N/2 + 1]`` (the
 ``rfftn`` layout): a real field's modes with kz < 0 are the conjugates of
 those at -k.  :func:`to_half` and :func:`from_half` convert between the
-layouts.
+layouts.  Its Runge-Kutta stages run on the dealias band of the half
+spectrum, shape (3, B, B, kc) with B = 2 kc - 1 (:func:`to_band`,
+:func:`from_band`), which :func:`band_to_physical` and
+:func:`physical_to_band` transform without touching the lines that the
+2/3 rule leaves zero.
 """
 
 import json
@@ -70,6 +74,13 @@ class WaveGrid:
         self.dealias_mask = (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         )
+        # Dealias band: per axis the indices of 0, ..., kc - 1 and
+        # -(kc - 1), ..., -1, i.e. the FFT layout of an odd grid of size
+        # B = 2 kc - 1, and kz = 0, ..., kc - 1 on the half spectrum.
+        self.band_index = np.flatnonzero(keep)
+        self.kc = (len(self.band_index) + 1) // 2
+        self.kx_band = self.kx[self.band_index]
+        self.kz_band = self.kx[: self.kc]
 
         # Half-spectrum layout: kz = 0, ..., N/2 - 1 and the Nyquist plane,
         # which keeps the full layout's kz = -N/2.  A mode of the half
@@ -85,8 +96,10 @@ class WaveGrid:
         self.norm_weights_half = multiplicity * np.stack(
             [np.ones_like(self.ksq_half), self.ksq_half, self.ksq_half**2]
         )
+        assert len(self.band_index) ** 2 * self.kc == self.dealias_mask_half.sum()
 
         for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
+                    self.band_index, self.kx_band, self.kz_band,
                     self.kz_half, self.ksq_half, self.dealias_mask_half,
                     self.norm_weights_half):
             arr.setflags(write=False)
@@ -336,23 +349,56 @@ def trilinear_b(u, v, w):
     return float((conv * w_phys).sum() * grid.cell_volume)
 
 
-def convection_half(half, grid):
-    """Dealiased half spectrum of (u . grad) u for half-spectrum coefficients.
+def band_to_physical(band, grid):
+    """Collocation samples of a field given by its dealias band.
+
+    Equal to ``irfftn`` of the zero-padded half spectrum, with the same
+    axis order (x, then y, then the c2r pass along z), but the x pass runs
+    only over the B * kc lines with a retained (ky, kz), and the y pass
+    over the N * kc lines with a retained kz.
+    """
+    n, index = grid.n, grid.band_index
+    lead = band.shape[:-3]
+    spread = np.zeros(lead + (n, len(index), grid.kc), dtype=np.complex128)
+    spread[..., index, :, :] = band
+    spread_x = ifftn(spread, axes=(-3,), norm="forward", overwrite_x=True)
+    spread = np.zeros(lead + (n, n, grid.kc), dtype=np.complex128)
+    spread[..., index, :] = spread_x
+    spread = ifftn(spread, axes=(-2,), norm="forward", overwrite_x=True)
+    return irfftn(spread, s=(n,), axes=(-1,), norm="forward")
+
+
+def physical_to_band(samples, grid):
+    """Dealias band of the half spectrum of real collocation samples.
+
+    Equal to ``rfftn`` followed by the band gather, with the same axis
+    order (r2c along z, then x, then y): the x pass runs over the N * kc
+    lines with a retained kz, and the y pass over the B * kc lines with a
+    retained (kx, kz).  Bit for bit equal when N is a power of two; each
+    pass scales by 1/N, where ``rfftn`` scales once by 1/N^3.
+    """
+    index = grid.band_index
+    spec = rfftn(samples, axes=(-1,), norm="forward")[..., : grid.kc]
+    fftn(spec, axes=(-3,), norm="forward", overwrite_x=True)  # in place, through the view
+    spec = spec[..., index, :, :]
+    fftn(spec, axes=(-2,), norm="forward", overwrite_x=True)
+    return spec[..., index, :]
+
+
+def convection_band(band, grid):
+    """Dealias band of the half spectrum of (u . grad) u, for u given by its band.
 
     Uses the divergence form  sum_i d(u_i u_j)/d x_i, equal to the
     convective form for divergence-free u: 3 inverse and 6 forward real
-    transforms.  The 2/3 rule makes the retained modes of each product
-    alias-free.
+    3-D transforms, pruned to the band.  The 2/3 rule makes the retained
+    modes of each product alias-free.
     """
-    n = grid.n
-    mask = grid.dealias_mask_half
-    u_phys = irfftn(half * mask, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-    flux = rfftn(_kernels.convective_product(u_phys), axes=(-3, -2, -1), norm="forward")
-    k = (grid.kx[:, None, None], grid.kx[None, :, None], grid.kz_half)
-    out = np.empty(half.shape, dtype=np.complex128)
+    flux = physical_to_band(_kernels.convective_product(band_to_physical(band, grid)), grid)
+    k = (grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band)
+    out = np.empty(band.shape, dtype=np.complex128)
     for j, idx in enumerate(_kernels.FLUX_INDEX):
         out[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
-    out *= 1j * mask
+    out *= 1j
     return out
 
 
@@ -380,6 +426,22 @@ def from_half(half, grid):
     return full
 
 
+def to_band(half, grid):
+    """Dealias band of a half spectrum, shape (..., B, B, kc); a copy."""
+    index = grid.band_index
+    return half[..., index[:, None], index, : grid.kc]
+
+
+def from_band(band, grid, out=None):
+    """Write a band into the half spectrum ``out`` (new zeros when None)."""
+    if out is None:
+        n = grid.n
+        out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    index = grid.band_index
+    out[..., index[:, None], index, : grid.kc] = band
+    return out
+
+
 def nonlinear_term(u):
     """Projected, dealiased convection term: P[(u . grad) u].
 
@@ -387,9 +449,9 @@ def nonlinear_term(u):
     divergence-free in-band w.
     """
     grid = u.grid
-    ghat = convection_half(to_half(u), grid)
-    _kernels.leray_project_modes(ghat, grid.kx, grid.kx, grid.kz_half)
-    return SpectralVelocity(grid, from_half(ghat, grid))
+    ghat = convection_band(to_band(to_half(u), grid), grid)
+    _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band)
+    return SpectralVelocity(grid, from_half(from_band(ghat, grid), grid))
 
 
 def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):

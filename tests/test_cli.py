@@ -300,6 +300,72 @@ def test_config_file_missing(tmp_path):
     assert run(["bounds", "--free", "--config", tmp_path / "nope.cfg"]) == EXIT_USAGE
 
 
+def test_config_file_undecodable(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"N = \xff\xfe16\n")
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("nsreg: ") and "bad.cfg" in err
+    assert not (tmp_path / "o").exists()
+
+
+# (key, value) lines of a valid config per command, and corrupt values per key
+CONFIG_BASE = {
+    "simulate": ["N = 8", "T = 0.01", "dt = 5e-3", "init = shear"],
+    "bounds": ["free = true", "l2 = 0.1", "h1sq = 0.5"],
+}
+NUMERIC_KEYS = {
+    "simulate": ["N", "L", "nu", "T", "dt", "cfl", "amplitude", "slope", "seed",
+                 "f-amp", "blowup-ceiling"],
+    "bounds": ["l2", "h1sq", "T", "f", "intf2", "nu", "lam1", "c-sobolev", "c-interp"],
+}
+NON_FINITE = ["nan", "inf", "-inf", "1e400", "NaN"]
+
+
+def _corrupt_config(command, draw):
+    """A config file for ``command`` with one corruption, as bytes."""
+    lines = list(CONFIG_BASE[command])
+    kinds = ["no_equals", "unknown_key", "non_numeric", "non_finite", "undecodable"]
+    if command == "bounds":
+        kinds.append("bad_boolean")
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(lines)))
+    if kind == "no_equals":
+        lines.insert(at, draw(st.sampled_from(["N 16", "free", "l2: 0.1", "[run]"])))
+    elif kind == "unknown_key":
+        lines.insert(at, draw(st.sampled_from(["volume = 11", "reynolds = 100", "out2 = x"])))
+    elif kind == "non_numeric":
+        key = draw(st.sampled_from(NUMERIC_KEYS[command]))
+        lines.insert(at, f"{key} = {draw(st.sampled_from(['abc', '1,5', '', '0x10', '--']))}")
+    elif kind == "non_finite":
+        key = draw(st.sampled_from(NUMERIC_KEYS[command]))
+        # an infinite window is the bounds default; only NaN is corrupt there
+        bad = ["nan", "NaN"] if (command, key) == ("bounds", "T") else NON_FINITE
+        lines.insert(at, f"{key} = {draw(st.sampled_from(bad))}")
+    elif kind == "bad_boolean":
+        lines.insert(at, f"free = {draw(st.sampled_from(['maybe', '2', 'yes please']))}")
+    text = "\n".join(lines).encode() + b"\n"
+    if kind == "undecodable":
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3("])) + text[pos:]
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["simulate", "bounds"]), data=st.data())
+def test_corrupted_config_is_usage_error(tmp_path_factory, command, data):
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfg = tmp / "run.cfg"
+    cfg.write_bytes(_corrupt_config(command, data.draw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--config", cfg, "--out", tmp / "o"])
+    assert code == EXIT_USAGE
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nsreg: "), lines
+    assert not (tmp / "o").exists()
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["simulate", "--frobnicate"]) == EXIT_USAGE
 
@@ -366,6 +432,21 @@ def test_monitor_truncated_json(shear_run, tmp_path, flag):
     path.write_text('{"kind": "arctan_free", "lhs": 0.5, "sat')
     code = run(["monitor", "--trace", shear_run / "trace.csv", flag, path])
     assert code == EXIT_NORM_INCONSISTENT
+
+
+@pytest.mark.parametrize("broken", ["report", "meta"])
+def test_monitor_json_error_names_the_file(shear_run, tmp_path, capsys, broken):
+    files = {"report": tmp_path / "report.json", "meta": tmp_path / "meta.json"}
+    files["report"].write_text('{"kind": "arctan_free", "lhs": 0.5, "horizon": null}')
+    files["meta"].write_text('{"config": {"nu": 1.0}}')
+    files[broken].write_text('{"kind": "arctan_free", "lhs": 0.5, "sat')
+    code = run(["monitor", "--trace", shear_run / "trace.csv",
+                "--report", files["report"], "--meta", files["meta"]])
+    assert code == EXIT_NORM_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith(f"nsreg: malformed JSON: {files[broken]}: ")
+    other = files["meta" if broken == "report" else "report"]
+    assert str(other) not in err
 
 
 def test_monitor_meta_without_numeric_viscosity(shear_run, tmp_path):

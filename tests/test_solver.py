@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfftn, rfftn
 
 from nsreg import (
     ConfigurationError,
@@ -22,9 +23,10 @@ from nsreg import (
     sobolev_norm,
     step,
 )
+from nsreg import _kernels
 from nsreg.errors import GridMismatchError, InvariantViolationError
 from nsreg.solver import _check_invariants, _sample, _Stepper
-from nsreg.spectral import to_half
+from nsreg.spectral import from_physical, to_half
 
 
 def zero_field(grid):
@@ -98,6 +100,94 @@ def test_step_output_exactly_hermitian(grid16):
     cfg = SolverConfig(nu=0.1, dt=1e-2, t_end=1.0)
     u = random_divfree_field(grid16, 5, -2.0, 3.0)
     step(u, kolmogorov_forcing(grid16, 2.0), 0.0, cfg.dt, cfg).validate(hermitian_tol=0.0)
+
+
+def field_beyond_band(grid, seed, amplitude):
+    """Random solenoidal field with energy on every mode outside the Nyquist
+    planes, where projection would break the Hermitian symmetry."""
+    noise = np.random.default_rng(seed).standard_normal((3, grid.n, grid.n, grid.n))
+    nyquist = np.abs(grid.k_int) == grid.n // 2
+    spec = from_physical(grid, noise)
+    spec[:, nyquist] = spec[:, :, nyquist] = spec[..., nyquist] = 0.0
+    raw = leray_project(spec, grid)
+    return raw.copy_with(raw.coefficients * (amplitude / sobolev_norm(raw, 0)))
+
+
+def reference_step(stepper, coeffs, t, dt):
+    """Runge-Kutta step with every stage on the full half spectrum.
+
+    The right-hand side is the 2/3-rule convection of the masked state,
+    projected, plus the masked force: the formula the band stepper must
+    reproduce bit for bit.
+    """
+    grid, config, forcing = stepper.grid, stepper.config, stepper.forcing
+    n, mask = grid.n, grid.dealias_mask_half
+    k = (grid.kx[:, None, None], grid.kx[None, :, None], grid.kz_half)
+
+    def rhs(half, t):
+        u = irfftn(half * mask, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+        flux = rfftn(_kernels.convective_product(u), axes=(-3, -2, -1), norm="forward")
+        conv = np.empty(half.shape, dtype=np.complex128)
+        for j, idx in enumerate(_kernels.FLUX_INDEX):
+            conv[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
+        conv *= 1j * mask
+        out = _kernels.leray_project_modes(-conv, grid.kx, grid.kx, grid.kz_half)
+        f = forcing.at(t)
+        if f is not None:
+            fhat = to_half(f) * mask
+            if forcing.kind == "time_dependent":
+                _kernels.leray_project_modes(fhat, grid.kx, grid.kx, grid.kz_half)
+            out += fhat
+        return out
+
+    lam = config.nu * grid.ksq_half
+    e_full, e_half = np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
+    if config.integrator == "if_rk4":
+        n1 = rhs(coeffs, t)
+        u2 = e_half * (coeffs + (0.5 * dt) * n1)
+        n2 = rhs(u2, t + 0.5 * dt)
+        u3 = e_half * coeffs + (0.5 * dt) * n2
+        n3 = rhs(u3, t + 0.5 * dt)
+        u4 = e_full * coeffs + dt * e_half * n3
+        n4 = rhs(u4, t + dt)
+        return e_full * coeffs + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+    n1 = rhs(coeffs, t)
+    u2 = e_full * (coeffs + dt * n1)
+    n2 = rhs(u2, t + dt)
+    return e_full * coeffs + (0.5 * dt) * (e_full * n1 + n2)
+
+
+@pytest.mark.parametrize("integrator", ["if_rk4", "if_rk2"])
+@pytest.mark.parametrize("forcing_kind", ["zero", "steady", "time_dependent"])
+def test_band_step_equals_full_spectrum_formula(grid16, integrator, forcing_kind):
+    forcing = {"zero": ForcingSpec.zero(),
+               "steady": kolmogorov_forcing(grid16, 3.0),
+               "time_dependent": forced_shear(grid16, 0.3)}[forcing_kind]
+    cfg = SolverConfig(nu=0.3, dt=2e-2, t_end=1.0, integrator=integrator)
+    u = random_divfree_field(grid16, 21, -2.0, 6.0).coefficients
+    u = u + field_beyond_band(grid16, 22, 0.5).coefficients
+    coeffs = np.ascontiguousarray(to_half(SpectralVelocity(grid16, u)))
+    stepper = _Stepper(grid16, forcing, cfg)
+    for t in (0.0, 0.02):
+        got = stepper.step(coeffs, t, cfg.dt)
+        assert np.array_equal(got, reference_step(stepper, coeffs, t, cfg.dt))
+        coeffs = got
+
+
+def test_modes_outside_band_only_decay(grid16):
+    nu = 0.2
+    u0 = random_divfree_field(grid16, 13, -2.0, 4.0).coefficients
+    u0 = SpectralVelocity(grid16, u0 + field_beyond_band(grid16, 14, 1.0).coefficients)
+    cfg = SolverConfig(nu=nu, dt=1e-2, t_end=0.1, cfl=0.5)
+    res = simulate(u0, kolmogorov_forcing(grid16, 2.0), cfg)
+    outside = ~grid16.dealias_mask
+    want = u0.coefficients.copy()
+    for dt in np.diff(res.trace.t):
+        want *= np.exp(-nu * grid16.ksq * dt)
+    got = res.final_state.coefficients
+    energy = np.abs(want) ** 2
+    assert energy[:, outside].sum() > 1e-3 * energy.sum()
+    assert np.allclose(got[:, outside], want[:, outside], rtol=1e-14, atol=0.0)
 
 
 def test_step_rejects_nonpositive_dt(grid8):

@@ -25,7 +25,14 @@ from nsreg import (
     to_physical,
     trilinear_b,
 )
-from nsreg.spectral import field_with_norms, hermitian_adjoint
+from nsreg.spectral import (
+    band_to_physical,
+    field_with_norms,
+    from_band,
+    hermitian_adjoint,
+    physical_to_band,
+    to_band,
+)
 
 from conftest import fine_quadrature_b, physical_l2_sq
 
@@ -62,6 +69,59 @@ def test_wavegrid_rejects_bad_length():
         make_wavegrid(8, 0.0)
     with pytest.raises(ConfigurationError):
         make_wavegrid(8, -1.0)
+
+
+# ------------------------------------------------------------ dealias band
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_band_layout_matches_dealias_mask(n):
+    g = make_wavegrid(n)
+    kc = g.kc
+    assert g.band_index.tolist() == list(range(kc)) + list(range(n - kc + 1, n))
+    assert np.all(np.abs(g.k_int[g.band_index]) < n / 3.0)
+    assert (2 * kc - 1) ** 2 * kc == g.dealias_mask_half.sum()
+    ones = np.ones((1, 2 * kc - 1, 2 * kc - 1, kc), dtype=np.complex128)
+    assert np.array_equal(from_band(ones, g)[0].real.astype(bool), g.dealias_mask_half)
+
+
+def _half_with_energy_everywhere(g, seed):
+    rng = np.random.default_rng(seed)
+    half = np.fft.rfftn(rng.standard_normal((3, g.n, g.n, g.n)), axes=(-3, -2, -1))
+    return half / g.n_modes
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_band_transforms_match_full_transforms(n):
+    g = make_wavegrid(n)
+    half = _half_with_energy_everywhere(g, n)
+    band = to_band(half, g)
+    padded = from_band(band, g)  # the half spectrum, zero outside the band
+    assert np.array_equal(padded, half * g.dealias_mask_half)
+
+    samples = np.fft.irfftn(padded, s=(n, n, n), axes=(-3, -2, -1)) * g.n_modes
+    got = band_to_physical(band, g)
+    assert got.shape == samples.shape
+    assert np.allclose(got, samples, rtol=0.0, atol=1e-14 * np.abs(samples).max())
+
+    products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
+    want = to_band(np.fft.rfftn(products, axes=(-3, -2, -1)) / g.n_modes, g)
+    got = physical_to_band(products, g)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_band_transforms_bitwise_for_power_of_two(n):
+    from scipy.fft import irfftn, rfftn
+
+    g = make_wavegrid(n)
+    half = _half_with_energy_everywhere(g, n + 1)
+    band = to_band(half, g)
+    samples = irfftn(half * g.dealias_mask_half, s=(n, n, n), axes=(-3, -2, -1),
+                     norm="forward")
+    assert np.array_equal(band_to_physical(band, g), samples)
+    full = rfftn(samples, axes=(-3, -2, -1), norm="forward")
+    assert np.array_equal(physical_to_band(samples, g), to_band(full, g))
 
 
 # ---------------------------------------------------------- leray projection
