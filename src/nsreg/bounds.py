@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -361,6 +360,10 @@ def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic",
     remaining time as the convergent integral of dt/dy = 1/rhs, which keeps
     the relative error well below 1e-6.
     """
+    # imported here: scipy.integrate pulls in scipy's linalg/sparse/optimize
+    # tree, which no command needs, so ``import nsreg`` stays lean
+    from scipy.integrate import quad, solve_ivp
+
     if alpha < 0 or y0 < 0:
         raise ConfigurationError("alpha and y0 must be non-negative")
     if not beta > 0:

@@ -165,12 +165,14 @@ class SpectralVelocity:
     def validate(self, div_tol=None, hermitian_tol=1e-12):
         """Raise ``ValueError`` unless all field invariants hold.
 
-        Checks Hermitian symmetry, zero mean, and modewise incompressibility
-        |k . uhat(k)| <= div_tol * |uhat(k)| with the default tolerance
-        1e-12 * max |uhat|.
+        Checks finite coefficients, Hermitian symmetry, zero mean, and
+        modewise incompressibility |k . uhat(k)| <= div_tol * |uhat(k)|
+        with the default tolerance 1e-12 * max |uhat|.
         """
         c = self.coefficients
         peak = float(np.abs(c).max())
+        if not np.isfinite(peak):
+            raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
             return self
         herm = hermitian_adjoint(c)
@@ -379,9 +381,8 @@ def physical_to_band(samples, grid):
     """
     index = grid.band_index
     spec = rfftn(samples, axes=(-1,), norm="forward")[..., : grid.kc]
-    fftn(spec, axes=(-3,), norm="forward", overwrite_x=True)  # in place, through the view
-    spec = spec[..., index, :, :]
-    fftn(spec, axes=(-2,), norm="forward", overwrite_x=True)
+    spec = fftn(spec, axes=(-3,), norm="forward", overwrite_x=True)
+    spec = fftn(spec[..., index, :, :], axes=(-2,), norm="forward", overwrite_x=True)
     return spec[..., index, :]
 
 
@@ -460,8 +461,8 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     Modes outside the dealias band are zero; the result is normalized so its
     L2 norm equals ``amplitude`` exactly (zero field for amplitude 0).
     """
-    if amplitude < 0:
-        raise ConfigurationError(f"amplitude must be >= 0, got {amplitude}")
+    if not (np.isfinite(amplitude) and amplitude >= 0):
+        raise ConfigurationError(f"amplitude must be finite and >= 0, got {amplitude}")
     n = grid.n
     if amplitude == 0.0:
         return SpectralVelocity(grid, np.zeros((3, n, n, n), dtype=np.complex128))

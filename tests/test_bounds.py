@@ -1,11 +1,15 @@
 """Tests for the constant ledger, bounds, horizons, criteria, and ODE oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import nsreg
 from nsreg import (
     ConfigurationError,
     CriterionInput,
@@ -349,6 +353,28 @@ def test_oracle_arctan_variant_closed_form():
     # y' = y (1 + y^2), y(0) = 1 blows up at (1/2) ln 2
     oracle = ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant="arctan_form")
     assert oracle.blowup_time == pytest.approx(0.34657359027997264, rel=1e-6)
+
+
+def test_import_loads_scipy_integrate_only_in_the_oracle():
+    # a cold nsreg process (library or CLI) must not pay for scipy.integrate;
+    # the oracle loads it when called and keeps its results
+    src = os.path.dirname(os.path.dirname(nsreg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    script = (
+        "import sys, nsreg, nsreg.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+        "oracle = nsreg.ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant='arctan_form')\n"
+        "print(repr(oracle.blowup_time))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, blowup_time, loaded_after = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(blowup_time) == pytest.approx(0.5 * math.log(2.0), rel=1e-6)
+    assert loaded_after == "True"
 
 
 def test_oracle_trajectory_respects_window():

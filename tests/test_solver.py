@@ -75,6 +75,13 @@ def test_steady_forcing_must_be_solenoidal(grid8):
         ForcingSpec.steady(SpectralVelocity(grid8, raw))
 
 
+def test_steady_forcing_rejects_nan(grid8):
+    raw = shear_field(grid8).coefficients.copy()
+    raw[0, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ForcingSpec.steady(SpectralVelocity(grid8, raw))
+
+
 # ------------------------------------------------------------------- step
 
 def test_single_step_shear_decay(grid16):

@@ -124,6 +124,36 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     assert np.array_equal(physical_to_band(samples, g), to_band(full, g))
 
 
+class _NumpyFFTBackend:
+    """scipy.fft backend that delegates to numpy.fft and returns new arrays."""
+
+    __ua_domain__ = "numpy.scipy.fft"
+
+    @staticmethod
+    def __ua_function__(method, args, kwargs):
+        for key in ("overwrite_x", "workers", "plan"):
+            kwargs.pop(key, None)
+        return getattr(np.fft, method.__name__)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_band_transforms_use_returned_arrays(n):
+    # overwrite_x only allows scipy.fft to destroy its input; a backend that
+    # leaves it untouched must give the same band transforms
+    import scipy.fft
+
+    g = make_wavegrid(n)
+    band = to_band(_half_with_energy_everywhere(g, n + 2), g)
+    samples = band_to_physical(band, g)
+    products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
+    want_band = physical_to_band(products, g)
+    with scipy.fft.set_backend(_NumpyFFTBackend, only=True):
+        got_samples = band_to_physical(band, g)
+        got_band = physical_to_band(products, g)
+    for got, want in ((got_samples, samples), (got_band, want_band)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # ---------------------------------------------------------- leray projection
 
 def test_leray_kills_pure_gradient(grid8):
@@ -404,6 +434,19 @@ def test_random_field_invariants_and_band(grid16):
 def test_random_field_rejects_negative_amplitude(grid16):
     with pytest.raises(ConfigurationError):
         random_divfree_field(grid16, 1, -2.0, -1.0)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_random_field_rejects_non_finite_amplitude(grid16, amplitude):
+    with pytest.raises(ConfigurationError):
+        random_divfree_field(grid16, 1, -2.0, amplitude)
+
+
+def test_validate_rejects_nan_mode(grid8):
+    c = random_divfree_field(grid8, 3, -2.0, 1.0).coefficients.copy()
+    c[0, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        SpectralVelocity(grid8, c).validate()
 
 
 def test_field_with_norms_hits_targets(grid16):
