@@ -31,6 +31,7 @@ from .bounds import (
 )
 from .calibrate import calibrate_constants, embedding_ratios
 from .errors import (
+    CoarseTraceError,
     ConfigurationError,
     GridMismatchError,
     HorizonExceededError,

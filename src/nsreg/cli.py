@@ -11,7 +11,8 @@ last, and without ``--out`` they go to stdout.
 Exit codes: 0 success (a reported blowup is a success), 2 monitor
 violation, 3 solver diagnostic failure or lost solver invariant,
 64 usage/configuration error, 65 inconsistent norm inputs, a trace too
-short to check or malformed JSON, 66 missing or unreadable file.
+short or too coarse to check, or malformed JSON, 66 missing or unreadable
+file.
 """
 
 import argparse
@@ -40,12 +41,13 @@ from .bounds import (
 )
 from .calibrate import calibrate_constants
 from .errors import (
+    CoarseTraceError,
     ConfigurationError,
     GridMismatchError,
     InvariantViolationError,
     PoincareConsistencyError,
 )
-from .monitor import run_monitor
+from .monitor import SOLVER_REL_TOL_CAP, run_monitor
 from .solver import ForcingSpec, NormTrace, SolverConfig, kolmogorov_forcing, simulate
 from .spectral import (
     SpectralVelocity,
@@ -400,10 +402,13 @@ def cmd_compare(args):
                 report = arctan_bound_free(
                     CriterionInput(l2=row.l2, h1_sq=row.h1_sq), ledger
                 )
-            mon = run_monitor(result.trace, ledger, report=report)
+            # a run that blows up on its first step leaves a one-sample
+            # trace, which the monitor cannot difference
+            passed = (run_monitor(result.trace, ledger, report=report).passed
+                      if len(result.trace) >= 2 else None)
             entry.update(
                 status=result.termination,
-                monitor_passed=mon.passed,
+                monitor_passed=passed,
                 max_h1_sq=float(result.trace.h1_sq.max()),
             )
             if row.criterion_satisfied and result.termination == "blowup":
@@ -453,6 +458,11 @@ def cmd_monitor(args):
                       h1_tol=args.h1_tol, energy_tol=args.energy_tol,
                       solver_rel_tol=args.solver_rel_tol,
                       dominance_rel_tol=args.dominance_rel_tol)
+    if mon.trace_too_coarse:
+        raise CoarseTraceError(
+            f"solver energy residual {mon.checks[0].max_violation:.3g} exceeds the "
+            f"tolerance, which the trace's step and stiffness push past its cap "
+            f"{SOLVER_REL_TOL_CAP:g}; rerun with a smaller dt")
     code = (EXIT_SOLVER_DIAGNOSTIC if mon.solver_diagnostic_failed
             else EXIT_OK if mon.passed else EXIT_VIOLATION)
     return code, {"report.json": _json_text(mon.to_json_dict())}
@@ -473,6 +483,7 @@ def main(argv=None):
         (UsageError, EXIT_USAGE, "error"),
         (ConfigurationError, EXIT_USAGE, "configuration error"),
         (PoincareConsistencyError, EXIT_NORM_INCONSISTENT, "inconsistent norms"),
+        (CoarseTraceError, EXIT_NORM_INCONSISTENT, "trace too coarse to diagnose"),
         (GridMismatchError, EXIT_NORM_INCONSISTENT, "inconsistent input"),
         (json.JSONDecodeError, EXIT_NORM_INCONSISTENT, "malformed JSON"),
         (InvariantViolationError, EXIT_SOLVER_DIAGNOSTIC, "solver invariant lost"),

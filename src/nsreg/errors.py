@@ -9,6 +9,11 @@ class GridMismatchError(ValueError):
     """Operands live on different wave grids or have incompatible shapes."""
 
 
+class CoarseTraceError(ValueError):
+    """A trace is sampled too coarsely for the solver diagnostic to tell a
+    wrong integrator from differencing error."""
+
+
 class PoincareConsistencyError(ValueError):
     """Scalar norm inputs violate the Poincare relation h1_sq >= lam1 * l2**2."""
 

@@ -13,7 +13,11 @@ Three checks run against a :class:`~nsreg.solver.NormTrace`:
 
 Default tolerances scale with the measured stiffness of the trace
 (lam_eff = max h2_sq / h1_sq) and the sampling step, so refining dt
-provably shrinks them; they can be overridden per call.  Every check
+provably shrinks them; they can be overridden per call.  The solver
+diagnostic's default tolerance is capped at :data:`SOLVER_REL_TOL_CAP`; a
+trace whose modelled tolerance exceeds the cap is too coarse to tell a
+wrong integrator from differencing error, and a failed diagnostic on it
+is reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
 fails closed: a NaN or infinite residual, or a NaN tolerance, is a
 violation.
 """
@@ -28,6 +32,8 @@ from .solver import energy_balance_residual
 
 #: factor on the modelled differencing error in the default tolerances
 SAFETY = 4.0
+#: largest default relative tolerance of the solver diagnostic
+SOLVER_REL_TOL_CAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,18 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Aggregated verdicts; ``violations`` is empty exactly when ``passed``."""
+    """Aggregated verdicts; ``violations`` is empty exactly when ``passed``.
+
+    ``trace_too_coarse`` marks a failed solver diagnostic whose modelled
+    default tolerance exceeds :data:`SOLVER_REL_TOL_CAP`: the failure may
+    be differencing error, so it does not indict the integrator.
+    """
 
     checks: tuple
     h1_residuals: Optional[np.ndarray]
     passed: bool
     solver_diagnostic_failed: bool
+    trace_too_coarse: bool = False
 
     @property
     def violations(self):
@@ -91,17 +103,23 @@ def _max_dt(trace):
     return float(np.diff(trace.t).max()) if len(trace) > 1 else 0.0
 
 
+def _modelled_solver_tol(trace):
+    """Centered-difference error of d/dt l2_sq, relative, for content
+    decaying like exp(-2 nu lam_eff t), times :data:`SAFETY`."""
+    x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
+    return SAFETY * x * x / 6.0
+
+
 def solver_energy_diagnostic(trace, rel_tol=None):
     """Check that the energy-balance residual is discretization-sized.
 
-    The default tolerance models the centered-difference error of
-    d/dt l2_sq for content decaying like exp(-2 nu lam_eff t).
+    The default tolerance is :func:`_modelled_solver_tol`, kept within
+    [1e-10, :data:`SOLVER_REL_TOL_CAP`].
     """
     residual = energy_balance_residual(trace)
     scale = float(max(trace.nu * trace.h1_sq.max(), abs(trace.f_dot_u).max(), 1e-300))
     if rel_tol is None:
-        x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
-        rel_tol = min(0.05, max(1e-10, SAFETY * x * x / 6.0))
+        rel_tol = min(SOLVER_REL_TOL_CAP, max(1e-10, _modelled_solver_tol(trace)))
     abs_residual = np.abs(residual)
     return _check("solver_energy_balance", trace.t, abs_residual, rel_tol * scale,
                   abs_residual.max() / scale if scale > 0 else 0.0, rel_tol)
@@ -176,4 +194,6 @@ def run_monitor(trace, ledger, report=None, h1_tol=None, energy_tol=None,
         h1_residuals=residuals,
         passed=all(c.passed for c in checks),
         solver_diagnostic_failed=not diag.passed,
+        trace_too_coarse=(not diag.passed and solver_rel_tol is None
+                          and _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP),
     )

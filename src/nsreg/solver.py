@@ -7,22 +7,24 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  The stepper holds the state as a half spectrum and runs the
-Runge-Kutta stages on its dealias band (see :mod:`nsreg.spectral`).  Every
-accepted step appends L2/H1/H2 norms, the
-force inner product, and trapezoidal running integrals to a
-:class:`NormTrace`.
+option).  A run holds its state on the dealias band of the half spectrum
+(see :mod:`nsreg.spectral`) from entry to exit: stages, samples, invariant
+checks and the CFL speed all work there.  Content of the initial field
+outside the band never enters the right-hand side, so it only decays,
+exactly as r0 exp(-nu |k|^2 t); its norms are added per sample from shell
+sums and it is added back to the final state once.  Every accepted step
+appends L2/H1/H2 norms, the force inner product, and trapezoidal running
+integrals to a :class:`NormTrace`.
 """
 
 import io
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import irfftn
 
 from . import _kernels
 from .errors import (
@@ -33,6 +35,7 @@ from .errors import (
 )
 from .spectral import (
     SpectralVelocity,
+    band_to_physical,
     convection_band,
     from_band,
     from_half,
@@ -205,32 +208,27 @@ class SimulationResult:
 class _Stepper:
     """Integrating-factor Runge-Kutta stepper bound to one grid and config.
 
-    States and :meth:`force_spectrum` are half spectra, shape
-    (3, N, N, N/2 + 1); the stages, :meth:`rhs` and the projection work on
-    the dealias band, shape (3, B, B, kc) (see :func:`spectral.to_band`).
+    States, stages, :meth:`rhs`, :meth:`force_band` and the projection all
+    work on the dealias band, shape (3, B, B, kc) (see
+    :func:`spectral.to_band`).
     """
 
     def __init__(self, grid, forcing, config):
         self.grid = grid
         self.forcing = forcing
         self.config = config
+        self._lam = config.nu * to_band(grid.ksq_half, grid)
         self._exp_cache = {}
-        self._steady = None  # (band, half spectrum) of a steady force, read-only
+        self._steady = None  # band of a steady force, read-only
         if forcing.kind == "steady":
-            band = self._force_band(0.0)
-            half = from_band(band, grid)
-            band.setflags(write=False)
-            half.setflags(write=False)
-            self._steady = (band, half)
+            self._steady = self.force_band(0.0)
+            self._steady.setflags(write=False)
 
     def _factors(self, dt):
-        """exp(-nu |k|^2 dt) on the half spectrum, and on the band for dt and dt/2."""
+        """exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the band."""
         cached = self._exp_cache.get(dt)
         if cached is None:
-            lam = self.config.nu * self.grid.ksq_half
-            e_full = np.exp(-lam * dt)
-            e_half = to_band(np.exp(-lam * (0.5 * dt)), self.grid)
-            cached = (e_full, to_band(e_full, self.grid), e_half)
+            cached = (np.exp(-self._lam * dt), np.exp(-self._lam * (0.5 * dt)))
             if len(self._exp_cache) > 8:
                 self._exp_cache.clear()
             self._exp_cache[dt] = cached
@@ -240,10 +238,10 @@ class _Stepper:
         g = self.grid
         return _kernels.leray_project_modes(band, g.kx_band, g.kx_band, g.kz_band)
 
-    def _force_band(self, t):
+    def force_band(self, t):
         """Band of the force at time t (projected if time-dependent), or None."""
         if self._steady is not None:
-            return self._steady[0]
+            return self._steady
         f = self.forcing.at(t)
         if f is None:
             return None
@@ -254,32 +252,40 @@ class _Stepper:
             self._project(band)
         return band
 
-    def force_spectrum(self, t):
-        """Dealiased half spectrum of the force at time t, or None."""
-        if self._steady is not None:
-            return self._steady[1]
-        band = self._force_band(t)
-        return None if band is None else from_band(band, self.grid)
+    def rhs(self, band, t, speed=False):
+        """Convection + projected forcing on the band; the stiff viscous part is exact.
 
-    def rhs(self, band, t):
-        """Convection + projected forcing on the band; the stiff viscous part is exact."""
-        out = self._project(-convection_band(band, self.grid))
-        fband = self._force_band(t)
+        With ``speed``, returns ``(rhs, max |u|)``: the largest velocity
+        component on the collocation grid, read off the transform the
+        convection needs anyway.
+        """
+        u = band_to_physical(band, self.grid)
+        if speed:
+            top = float(max(u.max(), -u.min()))
+        flux = _kernels.convective_product(u)
+        del u  # not alive through the forward transforms
+        out = self._project(-convection_band(flux, self.grid))
+        fband = self.force_band(t)
         if fband is not None:
             out += fband
-        return out
+        return (out, top) if speed else out
 
-    def step(self, coeffs, t, dt):
-        """Advance a half spectrum by dt.
+    def step(self, c, t, dt):
+        """Advance a band state from t by at most dt; returns (new state, step).
 
-        The right-hand side vanishes outside the dealias band, where the
-        Runge-Kutta formula reduces to the viscous decay e_full * coeffs;
-        the stages run on the band only.
+        With ``config.cfl`` the step is cut to cfl * dx / max |u|, the speed
+        of the band velocity, which is all the explicit convection sees.
+        Stage 1 does not depend on dt, so its transform gives the speed.
         """
-        e_full, b_full, b_half = self._factors(dt)
-        c = to_band(coeffs, self.grid)
-        if self.config.integrator == "if_rk4":
+        if self.config.cfl is None:
             n1 = self.rhs(c, t)
+        else:
+            n1, speed = self.rhs(c, t, speed=True)
+            if speed > 0.0:
+                dx = self.grid.length / self.grid.n
+                dt = min(dt, self.config.cfl * dx / speed)
+        b_full, b_half = self._factors(dt)
+        if self.config.integrator == "if_rk4":
             u2 = b_half * (c + (0.5 * dt) * n1)
             n2 = self.rhs(u2, t + 0.5 * dt)
             u3 = b_half * c + (0.5 * dt) * n2
@@ -288,71 +294,80 @@ class _Stepper:
             n4 = self.rhs(u4, t + dt)
             new = b_full * c + (dt / 6.0) * (b_full * n1 + 2.0 * b_half * (n2 + n3) + n4)
         else:
-            n1 = self.rhs(c, t)
             u2 = b_full * (c + dt * n1)
             n2 = self.rhs(u2, t + dt)
             new = b_full * c + (0.5 * dt) * (b_full * n1 + n2)
-        return from_band(new, self.grid, out=e_full * coeffs)
+        return new, dt
 
-    def cfl_dt(self, coeffs):
-        if self.config.cfl is None:
-            return self.config.dt
-        n = self.grid.n
-        u_phys = irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-        speed = float(np.abs(u_phys).max())
-        if speed == 0.0:
-            return self.config.dt
-        dx = self.grid.length / self.grid.n
-        return min(self.config.dt, self.config.cfl * dx / speed)
+
+def _field(grid, band, rest, nu, t):
+    """Public field of a band state; outside the band it holds ``rest``, a
+    half spectrum, decayed by exp(-nu |k|^2 t) (zero when ``rest`` is None)."""
+    out = None if rest is None else np.exp(-(nu * grid.ksq_half) * t) * rest
+    return SpectralVelocity(grid, from_half(from_band(band, grid, out=out), grid))
 
 
 def step(u, forcing, t, dt, config):
     """Advance one step of length dt from time t; returns the new state.
 
-    Raises :class:`NumericalBlowupError` (carrying t as the last valid time)
-    if the step produces non-finite coefficients.
+    ``config.cfl`` is not applied: the step is exactly dt.  Modes outside
+    the dealias band decay by exp(-nu |k|^2 dt).  Raises
+    :class:`NumericalBlowupError` (carrying t as the last valid time) if
+    the step produces non-finite coefficients.
     """
     if dt <= 0:
         raise ConfigurationError(f"step size must be positive, got {dt}")
     grid = u.grid
-    stepper = _Stepper(grid, forcing, config)
-    new = stepper.step(to_half(u), t, dt)
+    stepper = _Stepper(grid, forcing, replace(config, cfl=None))
+    half = to_half(u)
+    new, _ = stepper.step(to_band(half, grid), t, dt)
     if not np.all(np.isfinite(new)):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
         )
-    return SpectralVelocity(grid, from_half(new, grid))
+    return _field(grid, new, half, config.nu, dt)
 
 
-def _sample(grid, coeffs, fhat):
-    """(l2_sq, h1_sq, h2_sq, f_dot_u, f_sq) of a half-spectrum state."""
+def _sample(grid, band, fband, f_sq=None):
+    """(l2_sq, h1_sq, h2_sq, f_dot_u, f_sq) of a band state and the band of
+    the force (None for zero forcing); ``f_sq`` is computed unless given."""
     vol = grid.volume
     l2_sq, h1_sq, h2_sq = (vol * s for s in
-                           _kernels.weighted_spectral_sum(coeffs, grid.norm_weights_half))
-    if fhat is None:
-        f_dot_u = 0.0
-        f_sq = 0.0
-    else:
-        mult = grid.norm_weights_half[0]
-        # elementwise, not np.vdot: a BLAS dot is slow when its threads meet a busy core
-        f_dot_u = vol * float((mult * (fhat.real * coeffs.real
-                                       + fhat.imag * coeffs.imag)).sum())
-        f_sq = vol * _kernels.weighted_spectral_sum(fhat, mult)
+                           _kernels.weighted_spectral_sum(band, grid.norm_weights_band))
+    if fband is None:
+        return l2_sq, h1_sq, h2_sq, 0.0, 0.0
+    mult = grid.norm_weights_band[0]
+    # elementwise, not np.vdot: a BLAS dot is slow when its threads meet a busy core
+    f_dot_u = vol * float((mult * (fband.real * band.real + fband.imag * band.imag)).sum())
+    if f_sq is None:
+        f_sq = vol * _kernels.weighted_spectral_sum(fband, mult)
     return l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
 
 
-def _check_invariants(grid, coeffs, t):
-    """Raise :class:`InvariantViolationError` unless a half-spectrum state
-    has zero mean and is divergence-free."""
-    peak = float(np.abs(coeffs).max())
+def _shells(grid, half):
+    """Content of a half spectrum outside the band, by shells of equal |k|^2:
+    each shell's eigenvalue |k|^2 and its squared L2 norm."""
+    mag = grid.multiplicity_half * (half.real * half.real + half.imag * half.imag).sum(axis=0)
+    index = grid.band_index
+    mag[index[:, None], index, : grid.kc] = 0.0
+    ksq_int = grid.ksq_int[..., : grid.n // 2 + 1].astype(np.intp)
+    energy = np.bincount(ksq_int.ravel(), weights=mag.ravel())
+    shells = np.flatnonzero(energy)
+    return grid.scale**2 * shells, grid.volume * energy[shells]
+
+
+def _check_invariants(grid, band, t):
+    """Raise :class:`InvariantViolationError` unless a band state has zero
+    mean and is divergence-free."""
+    peak = float(np.abs(band).max())
     if peak == 0.0:
         return
-    if float(np.abs(coeffs[:, 0, 0, 0]).max()) > 1e-12 * peak:
+    if float(np.abs(band[:, 0, 0, 0]).max()) > 1e-12 * peak:
         raise InvariantViolationError(f"zero-mean invariant violated at t={t:g}")
     div = (
-        grid.kx[:, None, None] * coeffs[0]
-        + grid.kx[None, :, None] * coeffs[1]
-        + grid.kz_half * coeffs[2]
+        grid.kx_band[:, None, None] * band[0]
+        + grid.kx_band[None, :, None] * band[1]
+        + grid.kz_band * band[2]
     )
     kmax = grid.scale * grid.n / 2.0 * np.sqrt(3.0)
     if float(np.abs(div).max()) > 1e-10 * peak * kmax:
@@ -365,23 +380,36 @@ def simulate(u0, forcing, config):
     Blowup is a reported outcome: the result carries the trace up to the
     last finite state and ``termination == "blowup"``.
     """
-    u0.validate()
+    u0.validate()  # also covers the invariants of the out-of-band content
     start = _time.perf_counter()
     grid = u0.grid
     stepper = _Stepper(grid, forcing, config)
+    half = to_half(u0)
+    c = to_band(half, grid)
+    rest = None if np.count_nonzero(half) == np.count_nonzero(c) else half
+    shells = None if rest is None else _shells(grid, rest)
 
-    coeffs = np.ascontiguousarray(to_half(u0))
+    def sample(c, t, f_sq=None):
+        l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = _sample(grid, c, stepper.force_band(t), f_sq)
+        if shells is not None:  # rest decays as exp(-nu |k|^2 t), so its energy as exp(-2 ...)
+            lam, energy = shells
+            e = energy * np.exp(-2.0 * config.nu * lam * t)
+            l2_sq += float(e.sum())
+            h1_sq += float((lam * e).sum())
+            h2_sq += float((lam * lam * e).sum())
+        return t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
+
     t = 0.0
-    samples = [(t, *_sample(grid, coeffs, stepper.force_spectrum(t)))]
+    samples = [sample(c, t)]
+    steady_f_sq = samples[0][-1] if forcing.kind == "steady" else None
 
     termination = "completed"
     blowup_time = None
     blowup_reason = None
     t_end = config.t_end
     while t < t_end * (1.0 - 1e-12):
-        dt = min(stepper.cfl_dt(coeffs), t_end - t)
         with np.errstate(over="ignore", invalid="ignore"):
-            new = stepper.step(coeffs, t, dt)
+            new, dt = stepper.step(c, t, min(config.dt, t_end - t))
         t_new = t + dt
         if not np.all(np.isfinite(new)):
             termination = "blowup"
@@ -389,16 +417,16 @@ def simulate(u0, forcing, config):
             blowup_reason = "non-finite coefficients"
             break
         _check_invariants(grid, new, t_new)
-        fhat = stepper.force_spectrum(t_new)
-        sample = _sample(grid, new, fhat)
-        if sample[1] > config.blowup_h1_sq_ceiling:  # h1_sq
+        row = sample(new, t_new, steady_f_sq)
+        if row[2] > config.blowup_h1_sq_ceiling:  # h1_sq
             termination = "blowup"
             blowup_time = t
             blowup_reason = "h1_sq ceiling exceeded"
             break
-        coeffs = new
+        c = new
         t = t_new
-        samples.append((t, *sample))
+        samples.append(row)
+    final_state = _field(grid, c, rest, config.nu, t)
 
     t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = np.array(samples).T
 
@@ -410,7 +438,7 @@ def simulate(u0, forcing, config):
                       int_f_sq=running_integral(f_sq), nu=config.nu)
     return SimulationResult(
         trace=trace,
-        final_state=SpectralVelocity(grid, from_half(coeffs, grid)),
+        final_state=final_state,
         termination=termination,
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,

@@ -14,14 +14,13 @@ Quadratic products are dealiased with the 2/3 rule: only modes with
 modes alias-free on the N^3 grid and makes the collocation quadrature of
 triple products exact.
 
-The time stepper works on the half spectrum, ``uhat[..., :N/2 + 1]`` (the
-``rfftn`` layout): a real field's modes with kz < 0 are the conjugates of
-those at -k.  :func:`to_half` and :func:`from_half` convert between the
-layouts.  Its Runge-Kutta stages run on the dealias band of the half
-spectrum, shape (3, B, B, kc) with B = 2 kc - 1 (:func:`to_band`,
-:func:`from_band`), which :func:`band_to_physical` and
-:func:`physical_to_band` transform without touching the lines that the
-2/3 rule leaves zero.
+The half spectrum is ``uhat[..., :N/2 + 1]`` (the ``rfftn`` layout): a
+real field's modes with kz < 0 are the conjugates of those at -k.
+:func:`to_half` and :func:`from_half` convert between the layouts.  The
+time stepper holds its state on the dealias band of the half spectrum,
+shape (3, B, B, kc) with B = 2 kc - 1 (:func:`to_band`, :func:`from_band`),
+which :func:`band_to_physical` and :func:`physical_to_band` transform
+without touching the lines that the 2/3 rule leaves zero.
 """
 
 import json
@@ -90,18 +89,21 @@ class WaveGrid:
         self.kz_half = self.kx[:nh].copy()
         self.ksq_half = np.ascontiguousarray(self.ksq[..., :nh])
         self.dealias_mask_half = np.ascontiguousarray(self.dealias_mask[..., :nh])
-        multiplicity = np.full(nh, 2.0)
-        multiplicity[[0, -1]] = 1.0
-        # multiplicity * |k|^(2m), m = 0, 1, 2: weights of the squared norms
-        self.norm_weights_half = multiplicity * np.stack(
-            [np.ones_like(self.ksq_half), self.ksq_half, self.ksq_half**2]
-        )
+        self.multiplicity_half = np.full(nh, 2.0)
+        self.multiplicity_half[[0, -1]] = 1.0
         assert len(self.band_index) ** 2 * self.kc == self.dealias_mask_half.sum()
+        # multiplicity * |k|^(2m), m = 0, 1, 2, on the band: weights of the
+        # squared norms.  The band holds no Nyquist plane, so the
+        # multiplicity is 1 at kz = 0 and 2 elsewhere.
+        ksq_band = to_band(self.ksq_half, self)
+        self.norm_weights_band = self.multiplicity_half[: self.kc] * np.stack(
+            [np.ones_like(ksq_band), ksq_band, ksq_band**2]
+        )
 
         for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
                     self.band_index, self.kx_band, self.kz_band,
                     self.kz_half, self.ksq_half, self.dealias_mask_half,
-                    self.norm_weights_half):
+                    self.multiplicity_half, self.norm_weights_band):
             arr.setflags(write=False)
 
     @property
@@ -386,17 +388,19 @@ def physical_to_band(samples, grid):
     return spec[..., index, :]
 
 
-def convection_band(band, grid):
-    """Dealias band of the half spectrum of (u . grad) u, for u given by its band.
+def convection_band(flux, grid):
+    """Dealias band of the half spectrum of (u . grad) u, given the flux
+    u_i u_j (:func:`_kernels.convective_product`) of a band-limited u.
 
     Uses the divergence form  sum_i d(u_i u_j)/d x_i, equal to the
-    convective form for divergence-free u: 3 inverse and 6 forward real
-    3-D transforms, pruned to the band.  The 2/3 rule makes the retained
+    convective form for divergence-free u: the 6 forward real 3-D
+    transforms of the flux, pruned to the band, after the 3 inverse ones of
+    :func:`band_to_physical` that give u.  The 2/3 rule makes the retained
     modes of each product alias-free.
     """
-    flux = physical_to_band(_kernels.convective_product(band_to_physical(band, grid)), grid)
+    flux = physical_to_band(flux, grid)
     k = (grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band)
-    out = np.empty(band.shape, dtype=np.complex128)
+    out = np.empty((3,) + flux.shape[1:], dtype=np.complex128)
     for j, idx in enumerate(_kernels.FLUX_INDEX):
         out[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
     out *= 1j
@@ -450,7 +454,8 @@ def nonlinear_term(u):
     divergence-free in-band w.
     """
     grid = u.grid
-    ghat = convection_band(to_band(to_half(u), grid), grid)
+    u_phys = band_to_physical(to_band(to_half(u), grid), grid)
+    ghat = convection_band(_kernels.convective_product(u_phys), grid)
     _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band)
     return SpectralVelocity(grid, from_half(from_band(ghat, grid), grid))
 

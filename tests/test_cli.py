@@ -177,6 +177,48 @@ def test_compare_with_attached_simulations(tmp_path):
             pytest.fail("certified sweep point blew up")
 
 
+def test_compare_keeps_the_sweep_when_a_member_blows_up_on_its_first_step(tmp_path):
+    out = tmp_path / "cmp"
+    code = run(["compare", "--h1sq", "2e12", "--l2-sweep", "2e5", "--simulate",
+                "--N", "16", "--T", "0.01", "--dt", "2e-3", "--out", out])
+    assert code == EXIT_OK
+    (sim,) = read_json(out / "report.json")["simulations"]
+    assert sim["status"] == "blowup"
+    assert sim["monitor_passed"] is None  # a one-sample trace is not monitored
+    assert (out / "compare.csv").read_text().splitlines()[1].split(",")[-3:-1] == ["blowup", ""]
+
+
+def test_compare_records_a_certified_member_blowing_up_at_once(tmp_path, monkeypatch):
+    def first_step_blowup(u0, forcing, config):
+        one = np.array([0.0])
+        trace = nsreg.NormTrace(t=one, l2_sq=one + 0.01, h1_sq=one + 1.0, h2_sq=one + 1.0,
+                                f_dot_u=one, f_sq=one, int_h1_sq=one, int_f_sq=one,
+                                nu=config.nu)
+        return nsreg.SimulationResult(trace=trace, final_state=u0, termination="blowup",
+                                      blowup_time=0.0, blowup_reason="planted",
+                                      wall_time_s=0.0)
+
+    monkeypatch.setattr(nsreg.cli, "simulate", first_step_blowup)
+    out = tmp_path / "cmp"
+    code = run(["compare", "--h1sq", "0.01", "--l2-sweep", "0.05", "--simulate",
+                "--N", "8", "--out", out])
+    assert code == EXIT_OK
+    payload = read_json(out / "report.json")
+    assert payload["rows"][0]["criterion_satisfied"]
+    assert payload["simulations"][0]["status"] == "blowup"
+    assert payload["soundness_violations"] == [{"l2": 0.05, "blowup_time": 0.0}]
+
+
+def test_compare_records_a_coarse_member_as_not_passed(tmp_path):
+    out = tmp_path / "cmp"
+    code = run(["compare", "--h1sq", "1", "--l2-sweep", "0.5", "--simulate",
+                "--N", "16", "--T", "0.1", "--dt", "2e-2", "--out", out])
+    assert code == EXIT_OK
+    (sim,) = read_json(out / "report.json")["simulations"]
+    assert sim["status"] == "completed"
+    assert sim["monitor_passed"] is False
+
+
 def test_compare_poincare_violation():
     assert run(["compare", "--h1sq", "1", "--l2-sweep", "5"]) == EXIT_NORM_INCONSISTENT
 
@@ -257,6 +299,21 @@ def test_monitor_solver_diagnostic_exit_code(tmp_path):
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text("\n".join(rows) + "\n")
     assert run(["monitor", "--trace", trace_path]) == EXIT_SOLVER_DIAGNOSTIC
+
+
+def test_monitor_coarse_trace_is_not_a_solver_failure(tmp_path, capsys):
+    # a correct run whose modelled differencing error exceeds the capped tolerance
+    out = tmp_path / "run"
+    assert run(["simulate", "--N", "16", "--nu", "1", "--dt", "1e-2", "--T", "0.1",
+                "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    mon = tmp_path / "mon"
+    assert run(["monitor", "--trace", out / "trace.csv", "--out", mon]) == EXIT_NORM_INCONSISTENT
+    assert "trace too coarse to diagnose" in capsys.readouterr().err
+    assert not mon.exists()
+    # an explicit tolerance is not modelled, so failing it indicts the solver
+    code = run(["monitor", "--trace", out / "trace.csv", "--solver-rel-tol", "0.05"])
+    assert code == EXIT_SOLVER_DIAGNOSTIC
 
 
 def test_monitor_requires_trace():

@@ -195,6 +195,18 @@ def test_monitor_distinguishes_solver_failure(shear_run, ledger):
     assert not mon.passed
 
 
+def test_monitor_flags_a_coarse_trace(grid16, ledger):
+    u0 = random_divfree_field(grid16, 0, -2.0, 1.0)
+    coarse = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)).trace
+    mon = run_monitor(coarse, ledger)
+    assert mon.solver_diagnostic_failed and mon.trace_too_coarse
+    assert not mon.passed
+    assert set(mon.to_json_dict()) == {"checks", "passed"}
+    fine = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=2.5e-3, t_end=0.1)).trace
+    assert not run_monitor(fine, ledger).trace_too_coarse
+    assert not run_monitor(coarse, ledger, solver_rel_tol=0.05).trace_too_coarse
+
+
 def test_monitor_violations_property(shear_run, ledger):
     mon = run_monitor(shear_run.trace, ledger)
     assert mon.violations == ()

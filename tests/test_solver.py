@@ -26,7 +26,7 @@ from nsreg import (
 from nsreg import _kernels
 from nsreg.errors import GridMismatchError, InvariantViolationError
 from nsreg.solver import _check_invariants, _sample, _Stepper
-from nsreg.spectral import from_physical, to_half
+from nsreg.spectral import from_physical, to_band, to_half
 
 
 def zero_field(grid):
@@ -176,9 +176,10 @@ def test_band_step_equals_full_spectrum_formula(grid16, integrator, forcing_kind
     coeffs = np.ascontiguousarray(to_half(SpectralVelocity(grid16, u)))
     stepper = _Stepper(grid16, forcing, cfg)
     for t in (0.0, 0.02):
-        got = stepper.step(coeffs, t, cfg.dt)
-        assert np.array_equal(got, reference_step(stepper, coeffs, t, cfg.dt))
-        coeffs = got
+        got, _ = stepper.step(to_band(coeffs, grid16), t, cfg.dt)
+        want = reference_step(stepper, coeffs, t, cfg.dt)
+        assert np.array_equal(got, to_band(want, grid16))
+        coeffs = want
 
 
 def test_modes_outside_band_only_decay(grid16):
@@ -195,6 +196,47 @@ def test_modes_outside_band_only_decay(grid16):
     energy = np.abs(want) ** 2
     assert energy[:, outside].sum() > 1e-3 * energy.sum()
     assert np.allclose(got[:, outside], want[:, outside], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("forcing_kind", ["steady", "time_dependent"])
+def test_band_samples_plus_remainder_shells_match_half_spectrum_sums(grid16, forcing_kind):
+    forcing = {"steady": kolmogorov_forcing(grid16, 2.0),
+               "time_dependent": forced_shear(grid16, 0.2)}[forcing_kind]
+    u0 = random_divfree_field(grid16, 13, -2.0, 4.0).coefficients
+    u0 = SpectralVelocity(grid16, u0 + field_beyond_band(grid16, 14, 1.0).coefficients)
+    res = simulate(u0, forcing, SolverConfig(nu=0.2, dt=1e-2, t_end=0.1))
+    tr = res.trace
+    for i, u in ((0, u0), (-1, res.final_state)):
+        half = to_half(u)
+        mag = (half.real**2 + half.imag**2).sum(axis=0)
+        want = [grid16.volume * float((grid16.multiplicity_half * grid16.ksq_half**m * mag).sum())
+                for m in range(3)]
+        got = [tr.l2_sq[i], tr.h1_sq[i], tr.h2_sq[i]]
+        assert got == pytest.approx(want, rel=1e-14)
+    outside = np.abs(to_half(res.final_state)) * ~grid16.dealias_mask_half
+    assert (outside**2).sum() > 1e-3 * tr.l2_sq[-1] / grid16.volume
+
+
+@pytest.mark.parametrize("integrator,seed,amplitude,dt,cfl", [
+    ("if_rk2", 11, 6.0, 0.05, 0.2), ("if_rk4", 5, 20.0, 0.05, 0.2)])
+def test_cfl_steps_equal_a_loop_with_the_physical_speed(grid16, integrator, seed, amplitude,
+                                                        dt, cfl):
+    # the run takes max |u| from the transform of its first stage; a loop of
+    # single steps with the speed of the full inverse transform gives the same times
+    cfg = SolverConfig(nu=0.2, dt=dt, t_end=0.5, integrator=integrator, cfl=cfl)
+    forcing = kolmogorov_forcing(grid16, 5.0)
+    u = random_divfree_field(grid16, seed, -2.0, amplitude)
+    res = simulate(u, forcing, cfg)
+    n, dx = grid16.n, grid16.length / grid16.n
+    t, times = 0.0, [0.0]
+    while t < cfg.t_end * (1.0 - 1e-12):
+        speed = np.abs(irfftn(to_half(u), s=(n, n, n), axes=(-3, -2, -1), norm="forward")).max()
+        h = min(cfg.dt, cfg.cfl * dx / speed, cfg.t_end - t)
+        u = step(u, forcing, t, h, cfg)
+        t += h
+        times.append(t)
+    assert np.diff(res.trace.t)[:-1].min() < cfg.dt  # the cap bites
+    assert np.array_equal(res.trace.t, times)
 
 
 def test_step_rejects_nonpositive_dt(grid8):
@@ -277,11 +319,11 @@ def test_final_norms_match_recorded_runs(grid16, init, config, expected):
 
 
 def test_check_invariants_rejects_mean_mode(grid8):
-    half = to_half(random_divfree_field(grid8, 1, -2.0, 1.0)).copy()
-    _check_invariants(grid8, half, 0.0)
-    half[2, 0, 0, 0] = 0.5
+    band = to_band(to_half(random_divfree_field(grid8, 1, -2.0, 1.0)), grid8)
+    _check_invariants(grid8, band, 0.0)
+    band[2, 0, 0, 0] = 0.5
     with pytest.raises(InvariantViolationError, match="zero-mean"):
-        _check_invariants(grid8, half, 0.0)
+        _check_invariants(grid8, band, 0.0)
 
 
 @pytest.mark.parametrize("integrator,factor", [("if_rk4", 12.0), ("if_rk2", 3.9)])
@@ -432,7 +474,7 @@ def test_sample_force_inner_product_matches_full_fields(grid16):
     forcing = ForcingSpec.steady(f)
     cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=1.0)
     u = step(random_divfree_field(grid16, 3), forcing, 0.0, 1e-3, cfg)
-    fhat = _Stepper(grid16, forcing, cfg).force_spectrum(1e-3)
-    f_dot_u = _sample(grid16, to_half(u), fhat)[3]
+    fband = _Stepper(grid16, forcing, cfg).force_band(1e-3)
+    f_dot_u = _sample(grid16, to_band(to_half(u), grid16), fband)[3]
     assert f_dot_u != 0.0
     assert f_dot_u == pytest.approx(inner_product(f, u), rel=1e-13)
