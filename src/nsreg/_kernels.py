@@ -1,26 +1,31 @@
 """Pointwise and modewise kernels of the stepper's inner loop.
 
 Each kernel is a sequential numpy expression, deterministic for fixed
-inputs.  Callers look them up on this module at call time.
+inputs.  Callers look them up on this module at call time.  The flux of
+:func:`convective_product` is Basdevant's five-component form: it gives
+the convection term only after a Leray projection.
 """
 
 import numpy as np
 
-# (i, j) of the flux components returned by convective_product; the flux is
-# symmetric, and FLUX_INDEX[i][j] is the component that holds u_i u_j
-FLUX_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-FLUX_INDEX = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
-
 
 def convective_product(u_phys):
-    """Convective flux u_i * u_j on the collocation grid, pairs i <= j.
+    """Basdevant's five-component flux on the collocation grid.
 
-    u_phys: (3, n, n, n) float64.  Returns (6, n, n, n) float64 ordered as
-    :data:`FLUX_PAIRS` (xx, xy, xz, yy, yz, zz).
+    u_phys: (3, n, n, n) float64.  Returns (5, n, n, n) float64 holding
+    (u_x^2 - u_z^2, u_x u_y, u_x u_z, u_y^2 - u_z^2, u_y u_z): the flux
+    u_i u_j minus delta_ij u_z^2, whose zz component is zero.  Its
+    divergence is (u . grad) u minus grad(u_z^2), so it gives the
+    convection only after a Leray projection.
     """
-    out = np.empty((len(FLUX_PAIRS),) + u_phys.shape[1:])
-    for p, (i, j) in enumerate(FLUX_PAIRS):
-        np.multiply(u_phys[i], u_phys[j], out=out[p])
+    ux, uy, uz = u_phys
+    out = np.empty((5,) + u_phys.shape[1:])
+    zz = np.multiply(uz, uz, out=out[2])  # slot 2 holds u_z^2 until u_x u_z
+    np.subtract(np.multiply(ux, ux, out=out[0]), zz, out=out[0])
+    np.subtract(np.multiply(uy, uy, out=out[3]), zz, out=out[3])
+    np.multiply(ux, uy, out=out[1])
+    np.multiply(ux, uz, out=out[2])
+    np.multiply(uy, uz, out=out[4])
     return out
 
 

@@ -103,9 +103,9 @@ class SolverConfig:
             raise ConfigurationError("dealiasing is mandatory for this solver")
         if self.cfl is not None and not (self.cfl > 0 and math.isfinite(self.cfl)):
             raise ConfigurationError(f"cfl factor must be positive and finite, got {self.cfl}")
-        if not math.isfinite(self.blowup_h1_sq_ceiling):
+        if not (self.blowup_h1_sq_ceiling > 0 and math.isfinite(self.blowup_h1_sq_ceiling)):
             raise ConfigurationError(
-                f"blowup ceiling must be finite, got {self.blowup_h1_sq_ceiling}")
+                f"blowup ceiling must be positive and finite, got {self.blowup_h1_sq_ceiling}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,8 @@ class _Stepper:
             top = float(max(u.max(), -u.min()))
         flux = _kernels.convective_product(u)
         del u  # not alive through the forward transforms
-        out = self._project(-convection_band(flux, self.grid))
+        out = convection_band(flux, self.grid)
+        self._project(np.negative(out, out=out))  # also removes the flux's gradient part
         fband = self.force_band(t)
         if fband is not None:
             out += fband

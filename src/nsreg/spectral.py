@@ -168,8 +168,8 @@ class SpectralVelocity:
         """Raise ``ValueError`` unless all field invariants hold.
 
         Checks finite coefficients, Hermitian symmetry, zero mean, and
-        modewise incompressibility |k . uhat(k)| <= div_tol * |uhat(k)|
-        with the default tolerance 1e-12 * max |uhat|.
+        incompressibility  max_k |k . uhat(k)| <= div_tol * max_k |k|  with
+        the default tolerance 1e-12 * max |uhat|.
         """
         c = self.coefficients
         peak = float(np.abs(c).max())
@@ -190,9 +190,8 @@ class SpectralVelocity:
             + g.kx[None, :, None] * c[1]
             + g.kx[None, None, :] * c[2]
         )
-        kmag = np.sqrt(g.ksq)
         worst = float(np.abs(div).max())
-        if worst > div_tol * float(kmag.max()):
+        if worst > div_tol * float(np.sqrt(g.ksq.max())):
             raise ValueError(f"field is not divergence-free: max |k.uhat| = {worst:g}")
         return self
 
@@ -389,20 +388,23 @@ def physical_to_band(samples, grid):
 
 
 def convection_band(flux, grid):
-    """Dealias band of the half spectrum of (u . grad) u, given the flux
-    u_i u_j (:func:`_kernels.convective_product`) of a band-limited u.
+    """Dealias band of the half spectrum of (u . grad) u - grad(u_z^2),
+    given Basdevant's flux (:func:`_kernels.convective_product`) of a
+    band-limited u.  Callers must Leray-project it: the projection removes
+    the gradient and leaves P[(u . grad) u].
 
-    Uses the divergence form  sum_i d(u_i u_j)/d x_i, equal to the
-    convective form for divergence-free u: the 6 forward real 3-D
-    transforms of the flux, pruned to the band, after the 3 inverse ones of
-    :func:`band_to_physical` that give u.  The 2/3 rule makes the retained
-    modes of each product alias-free.
+    Uses the divergence form  sum_i d F_ij / d x_i  of the flux
+    F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the 5
+    forward real 3-D transforms of F, pruned to the band, after the 3
+    inverse ones of :func:`band_to_physical` that give u.  The 2/3 rule
+    makes the retained modes of each product alias-free.
     """
-    flux = physical_to_band(flux, grid)
-    k = (grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band)
-    out = np.empty((3,) + flux.shape[1:], dtype=np.complex128)
-    for j, idx in enumerate(_kernels.FLUX_INDEX):
-        out[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
+    f = physical_to_band(flux, grid)
+    kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
+    out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
+    out[0] = kx * f[0] + ky * f[1] + kz * f[2]
+    out[1] = kx * f[1] + ky * f[3] + kz * f[4]
+    out[2] = kx * f[2] + ky * f[4]
     out *= 1j
     return out
 

@@ -81,6 +81,14 @@ def test_simulate_infinite_final_time_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ceiling", ["0", "-1"])
+def test_simulate_non_positive_blowup_ceiling_is_usage_error(tmp_path, ceiling):
+    out = tmp_path / "ceiling"
+    assert run(["simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3",
+                "--blowup-ceiling", ceiling, "--out", out]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     out = tmp_path / "boom"
     code = run(["simulate", "--init", "random", "--amplitude", "100",

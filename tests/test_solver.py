@@ -66,6 +66,12 @@ def test_config_rejects_non_finite(field, value):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("ceiling", [0.0, -1.0, -math.inf])
+def test_config_rejects_non_positive_blowup_ceiling(ceiling):
+    with pytest.raises(ConfigurationError, match="blowup ceiling"):
+        SolverConfig(nu=1.0, dt=1e-3, t_end=1.0, blowup_h1_sq_ceiling=ceiling)
+
+
 def test_steady_forcing_must_be_solenoidal(grid8):
     n = grid8.n
     raw = np.zeros((3, n, n, n), dtype=np.complex128)
@@ -135,8 +141,9 @@ def reference_step(stepper, coeffs, t, dt):
         u = irfftn(half * mask, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
         flux = rfftn(_kernels.convective_product(u), axes=(-3, -2, -1), norm="forward")
         conv = np.empty(half.shape, dtype=np.complex128)
-        for j, idx in enumerate(_kernels.FLUX_INDEX):
-            conv[j] = k[0] * flux[idx[0]] + k[1] * flux[idx[1]] + k[2] * flux[idx[2]]
+        conv[0] = k[0] * flux[0] + k[1] * flux[1] + k[2] * flux[2]
+        conv[1] = k[0] * flux[1] + k[1] * flux[3] + k[2] * flux[4]
+        conv[2] = k[0] * flux[2] + k[1] * flux[4]
         conv *= 1j * mask
         out = _kernels.leray_project_modes(-conv, grid.kx, grid.kx, grid.kz_half)
         f = forcing.at(t)

@@ -25,13 +25,16 @@ from nsreg import (
     to_physical,
     trilinear_b,
 )
+from nsreg import _kernels
 from nsreg.spectral import (
     band_to_physical,
+    convection_band,
     field_with_norms,
     from_band,
     hermitian_adjoint,
     physical_to_band,
     to_band,
+    to_half,
 )
 
 from conftest import fine_quadrature_b, physical_l2_sq
@@ -384,6 +387,34 @@ def test_trilinear_grid_mismatch(grid8, grid16):
 def test_nonlinear_term_shear_flow_vanishes(grid16):
     out = nonlinear_term(shear_field(grid16, 3.0))
     assert np.abs(out.coefficients).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_five_component_flux_projects_to_six_product_convection(n):
+    from scipy.fft import rfftn
+
+    g = make_wavegrid(n)
+    u = band_to_physical(to_band(to_half(random_divfree_field(g, n, -2.0, 3.0)), g), g)
+    kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
+
+    def band_spectrum(samples):
+        return to_band(rfftn(samples, axes=(-3, -2, -1), norm="forward"), g)
+
+    # sum_i d(u_i u_j)/dx_i from unpruned transforms of all six products
+    f = {}
+    for i in range(3):
+        for j in range(i, 3):
+            f[i, j] = f[j, i] = band_spectrum(u[i] * u[j])
+    six = 1j * np.stack([kx * f[0, j] + ky * f[1, j] + kz * f[2, j] for j in range(3)])
+    five = convection_band(_kernels.convective_product(u), g)
+
+    # the two differ by the pure gradient grad(u_z^2), which the projection removes
+    grad = 1j * np.stack(np.broadcast_arrays(kx, ky, kz)) * band_spectrum(u[2] * u[2])
+    assert np.abs(six - five - grad).max() <= 1e-13 * np.abs(six).max()
+
+    for conv in (six, five):
+        _kernels.leray_project_modes(conv, g.kx_band, g.kx_band, g.kz_band)
+    assert np.abs(five - six).max() <= 1e-13 * np.abs(six).max()
 
 
 def test_nonlinear_term_energy_neutral(rand_field):
