@@ -33,7 +33,7 @@ def leray_project_modes(vhat, kx, ky, kz):
     """Remove the gradient part of each Fourier mode, in place.
 
     vhat: (3, Nx, Ny, Nz) complex128; kx, ky, kz: scaled wavenumbers of
-    each axis (Nz = N for the full layout, N/2 + 1 for the half layout).
+    each axis (N each for the full layout, B, B and kc for the band).
     Mode 0 is zeroed.  Returns vhat.
     """
     gx = kx[:, None, None]

@@ -386,6 +386,8 @@ def cmd_compare(args):
     sims = []
     soundness_violations = []
     if args.attach_sims:
+        if args.seed < 0:  # else field_with_norms would report it as an infeasible member
+            raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
         grid = make_wavegrid(args.N, args.L)
         config = SolverConfig(nu=args.nu, dt=args.dt, t_end=args.T)
         for i, row in enumerate(table.rows):

@@ -7,12 +7,13 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  A run holds its state on the dealias band of the half spectrum
-(see :mod:`nsreg.spectral`) from entry to exit: stages, samples, invariant
-checks and the CFL speed all work there.  Content of the initial field
-outside the band never enters the right-hand side, so it only decays,
-exactly as r0 exp(-nu |k|^2 t); its norms are added per sample from shell
-sums and it is added back to the final state once.  Every accepted step
+option).  A run converts the public full layout to the dealias band (see
+:mod:`nsreg.spectral`) at entry and back at exit, and holds its state on
+the band in between: stages, samples, invariant checks and the CFL speed
+all work there.  Content of the initial field outside the band never
+enters the right-hand side, so it only decays, exactly as
+r0 exp(-nu |k|^2 t); its norms are added per sample from shell sums and
+it is added back to the final state once.  Every accepted step
 appends L2/H1/H2 norms, the force inner product, and trapezoidal running
 integrals to a :class:`NormTrace`.
 """
@@ -38,10 +39,9 @@ from .spectral import (
     band_to_physical,
     convection_band,
     from_band,
-    from_half,
+    hermitian_adjoint,
     shear_field,
     to_band,
-    to_half,
 )
 
 TRACE_COLUMNS = ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq", "residual")
@@ -217,8 +217,8 @@ class _Stepper:
         self.grid = grid
         self.forcing = forcing
         self.config = config
-        self._lam = config.nu * to_band(grid.ksq_half, grid)
-        self._exp_cache = {}
+        self._lam = config.nu * to_band(grid.ksq, grid)
+        self._last_factors = (None, None)  # (dt, factors) of the last step
         self._steady = None  # band of a steady force, read-only
         if forcing.kind == "steady":
             self._steady = self.force_band(0.0)
@@ -226,13 +226,11 @@ class _Stepper:
 
     def _factors(self, dt):
         """exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the band."""
-        cached = self._exp_cache.get(dt)
-        if cached is None:
-            cached = (np.exp(-self._lam * dt), np.exp(-self._lam * (0.5 * dt)))
-            if len(self._exp_cache) > 8:
-                self._exp_cache.clear()
-            self._exp_cache[dt] = cached
-        return cached
+        last_dt, factors = self._last_factors
+        if last_dt != dt:
+            factors = (np.exp(-self._lam * dt), np.exp(-self._lam * (0.5 * dt)))
+            self._last_factors = (dt, factors)
+        return factors
 
     def _project(self, band):
         g = self.grid
@@ -247,7 +245,7 @@ class _Stepper:
             return None
         if f.grid != self.grid:
             raise GridMismatchError("forcing grid does not match the state grid")
-        band = to_band(to_half(f), self.grid)
+        band = to_band(f.coefficients, self.grid)
         if self.forcing.kind == "time_dependent":
             self._project(band)
         return band
@@ -301,11 +299,22 @@ class _Stepper:
         return new, dt
 
 
+def _split(u):
+    """(band, rest) of a field: its dealias band, and its coefficients if
+    they hold content outside the band (else None)."""
+    band = to_band(u.coefficients, u.grid)
+    half = u.coefficients[..., : u.grid.n // 2 + 1]  # kz >= 0: a view, not a copy
+    rest = None if np.count_nonzero(half) == np.count_nonzero(band) else u.coefficients
+    return band, rest
+
+
 def _field(grid, band, rest, nu, t):
-    """Public field of a band state; outside the band it holds ``rest``, a
-    half spectrum, decayed by exp(-nu |k|^2 t) (zero when ``rest`` is None)."""
-    out = None if rest is None else np.exp(-(nu * grid.ksq_half) * t) * rest
-    return SpectralVelocity(grid, from_half(from_band(band, grid, out=out), grid))
+    """Public field of a band state; outside the band it holds the Hermitian
+    part of ``rest`` decayed by exp(-nu |k|^2 t) (zero when ``rest`` is None)."""
+    out = None
+    if rest is not None:
+        out = np.exp(-(nu * grid.ksq) * t) * (0.5 * (rest + hermitian_adjoint(rest)))
+    return SpectralVelocity(grid, from_band(band, grid, out=out))
 
 
 def step(u, forcing, t, dt, config):
@@ -320,13 +329,13 @@ def step(u, forcing, t, dt, config):
         raise ConfigurationError(f"step size must be positive, got {dt}")
     grid = u.grid
     stepper = _Stepper(grid, forcing, replace(config, cfl=None))
-    half = to_half(u)
-    new, _ = stepper.step(to_band(half, grid), t, dt)
+    band, rest = _split(u)
+    new, _ = stepper.step(band, t, dt)
     if not np.all(np.isfinite(new)):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
         )
-    return _field(grid, new, half, config.nu, dt)
+    return _field(grid, new, rest, config.nu, dt)
 
 
 def _sample(grid, band, fband, f_sq=None):
@@ -345,14 +354,12 @@ def _sample(grid, band, fband, f_sq=None):
     return l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
 
 
-def _shells(grid, half):
-    """Content of a half spectrum outside the band, by shells of equal |k|^2:
-    each shell's eigenvalue |k|^2 and its squared L2 norm."""
-    mag = grid.multiplicity_half * (half.real * half.real + half.imag * half.imag).sum(axis=0)
-    index = grid.band_index
-    mag[index[:, None], index, : grid.kc] = 0.0
-    ksq_int = grid.ksq_int[..., : grid.n // 2 + 1].astype(np.intp)
-    energy = np.bincount(ksq_int.ravel(), weights=mag.ravel())
+def _shells(grid, rest):
+    """Content of full-layout coefficients outside the band, by shells of
+    equal |k|^2: each shell's eigenvalue |k|^2 and its squared L2 norm."""
+    mag = (rest.real * rest.real + rest.imag * rest.imag).sum(axis=0)
+    mag[grid.dealias_mask] = 0.0
+    energy = np.bincount(grid.ksq_int.astype(np.intp).ravel(), weights=mag.ravel())
     shells = np.flatnonzero(energy)
     return grid.scale**2 * shells, grid.volume * energy[shells]
 
@@ -385,9 +392,7 @@ def simulate(u0, forcing, config):
     start = _time.perf_counter()
     grid = u0.grid
     stepper = _Stepper(grid, forcing, config)
-    half = to_half(u0)
-    c = to_band(half, grid)
-    rest = None if np.count_nonzero(half) == np.count_nonzero(c) else half
+    c, rest = _split(u0)
     shells = None if rest is None else _shells(grid, rest)
 
     def sample(c, t, f_sq=None):

@@ -14,12 +14,12 @@ Quadratic products are dealiased with the 2/3 rule: only modes with
 modes alias-free on the N^3 grid and makes the collocation quadrature of
 triple products exact.
 
-The half spectrum is ``uhat[..., :N/2 + 1]`` (the ``rfftn`` layout): a
-real field's modes with kz < 0 are the conjugates of those at -k.
-:func:`to_half` and :func:`from_half` convert between the layouts.  The
-time stepper holds its state on the dealias band of the half spectrum,
-shape (3, B, B, kc) with B = 2 kc - 1 (:func:`to_band`, :func:`from_band`),
-which :func:`band_to_physical` and :func:`physical_to_band` transform
+There are two layouts.  Public fields hold the full layout above.  The
+time stepper holds its state on the dealias band, shape (3, B, B, kc) with
+B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
+field because its modes with kz < 0 are the conjugates of those at -k.
+:func:`to_band` and :func:`from_band` convert between the two, and
+:func:`band_to_physical` and :func:`physical_to_band` transform the band
 without touching the lines that the 2/3 rule leaves zero.
 """
 
@@ -60,50 +60,48 @@ class WaveGrid:
 
         k_int = np.fft.fftfreq(self.n, 1.0 / self.n)  # 0, 1, ..., -N/2, ..., -1
         self.k_int = k_int
-        self.kx = self.scale * k_int
+        cutoff = self.n / 3.0
+        keep = np.abs(k_int) < cutoff
+        # Dealias band: per axis the indices of 0, ..., kc - 1 and
+        # -(kc - 1), ..., -1, i.e. the FFT layout of an odd grid of size
+        # B = 2 kc - 1, and kz = 0, ..., kc - 1.
+        self.band_index = np.flatnonzero(keep)
+        self.kc = (len(self.band_index) + 1) // 2
 
+        with np.errstate(over="ignore", under="ignore"):
+            volume = np.float64(self.length) ** 3
+            h2_weight = (3.0 * (np.float64(self.scale) * (self.kc - 1)) ** 2) ** 2
+        for what, value in (("volume", volume), ("largest |k|^4", h2_weight)):
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ConfigurationError(
+                    f"domain period {length} gives a {what} of {value}, "
+                    "not finite and positive")
+
+        self.kx = self.scale * k_int
         gx = k_int[:, None, None]
         gy = k_int[None, :, None]
         gz = k_int[None, None, :]
         self.ksq_int = gx * gx + gy * gy + gz * gz
         self.ksq = self.scale**2 * self.ksq_int
 
-        cutoff = self.n / 3.0
-        keep = np.abs(k_int) < cutoff
         self.dealias_mask = (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
         )
-        # Dealias band: per axis the indices of 0, ..., kc - 1 and
-        # -(kc - 1), ..., -1, i.e. the FFT layout of an odd grid of size
-        # B = 2 kc - 1, and kz = 0, ..., kc - 1 on the half spectrum.
-        self.band_index = np.flatnonzero(keep)
-        self.kc = (len(self.band_index) + 1) // 2
+        assert (2 * self.kc - 1) ** 3 == self.dealias_mask.sum()
         self.kx_band = self.kx[self.band_index]
         self.kz_band = self.kx[: self.kc]
-
-        # Half-spectrum layout: kz = 0, ..., N/2 - 1 and the Nyquist plane,
-        # which keeps the full layout's kz = -N/2.  A mode of the half
-        # spectrum stands for itself and its conjugate at -k, except on the
-        # planes kz = 0 and kz = -N/2, which hold both of each pair.
-        nh = self.n // 2 + 1
-        self.kz_half = self.kx[:nh].copy()
-        self.ksq_half = np.ascontiguousarray(self.ksq[..., :nh])
-        self.dealias_mask_half = np.ascontiguousarray(self.dealias_mask[..., :nh])
-        self.multiplicity_half = np.full(nh, 2.0)
-        self.multiplicity_half[[0, -1]] = 1.0
-        assert len(self.band_index) ** 2 * self.kc == self.dealias_mask_half.sum()
         # multiplicity * |k|^(2m), m = 0, 1, 2, on the band: weights of the
-        # squared norms.  The band holds no Nyquist plane, so the
-        # multiplicity is 1 at kz = 0 and 2 elsewhere.
-        ksq_band = to_band(self.ksq_half, self)
-        self.norm_weights_band = self.multiplicity_half[: self.kc] * np.stack(
+        # squared norms.  A band mode with kz > 0 stands for itself and its
+        # conjugate at -k, so the multiplicity is 1 at kz = 0 and 2 elsewhere.
+        ksq_band = to_band(self.ksq, self)
+        multiplicity = np.full(self.kc, 2.0)
+        multiplicity[0] = 1.0
+        self.norm_weights_band = multiplicity * np.stack(
             [np.ones_like(ksq_band), ksq_band, ksq_band**2]
         )
 
         for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
-                    self.band_index, self.kx_band, self.kz_band,
-                    self.kz_half, self.ksq_half, self.dealias_mask_half,
-                    self.multiplicity_half, self.norm_weights_band):
+                    self.band_index, self.kx_band, self.kz_band, self.norm_weights_band):
             arr.setflags(write=False)
 
     @property
@@ -372,7 +370,7 @@ def band_to_physical(band, grid):
 
 
 def physical_to_band(samples, grid):
-    """Dealias band of the half spectrum of real collocation samples.
+    """Dealias band of the spectrum of real collocation samples.
 
     Equal to ``rfftn`` followed by the band gather, with the same axis
     order (r2c along z, then x, then y): the x pass runs over the N * kc
@@ -388,7 +386,7 @@ def physical_to_band(samples, grid):
 
 
 def convection_band(flux, grid):
-    """Dealias band of the half spectrum of (u . grad) u - grad(u_z^2),
+    """Dealias band of the spectrum of (u . grad) u - grad(u_z^2),
     given Basdevant's flux (:func:`_kernels.convective_product`) of a
     band-limited u.  Callers must Leray-project it: the projection removes
     the gradient and leaves P[(u . grad) u].
@@ -409,43 +407,28 @@ def convection_band(flux, grid):
     return out
 
 
-def to_half(u):
-    """Half spectrum of a field: a read-only view of its kz >= 0 modes, which
-    include the Nyquist plane kz = -N/2."""
-    return u.coefficients[..., : u.grid.n // 2 + 1]
-
-
-def from_half(half, grid):
-    """Full-layout coefficients of a half spectrum, exactly Hermitian.
-
-    The modes with -N/2 < kz < 0 are filled in from uhat(-k) = conj(uhat(k)).
-    The planes kz = 0 and kz = -N/2 each hold both modes of every conjugate
-    pair; they are replaced by their Hermitian part, so the result has the
-    symmetry bit for bit.
-    """
-    n, nh = grid.n, grid.n // 2 + 1
-    mirror = np.conj(np.roll(half[..., ::-1, ::-1, :], 1, axis=(-3, -2)))  # conj at (-kx, -ky)
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., 1:nh - 1] = half[..., 1:nh - 1]
-    full[..., nh:] = mirror[..., nh - 2:0:-1]
-    for z in (0, nh - 1):
-        full[..., z] = 0.5 * (half[..., z] + mirror[..., z])
-    return full
-
-
-def to_band(half, grid):
-    """Dealias band of a half spectrum, shape (..., B, B, kc); a copy."""
+def to_band(coefficients, grid):
+    """Dealias band of full-layout coefficients, shape (..., B, B, kc); a copy."""
     index = grid.band_index
-    return half[..., index[:, None], index, : grid.kc]
+    return coefficients[..., index[:, None], index, : grid.kc]
 
 
 def from_band(band, grid, out=None):
-    """Write a band into the half spectrum ``out`` (new zeros when None)."""
+    """Full-layout coefficients of a band, exactly Hermitian on the band.
+
+    Writes the band into ``out`` (new zeros when None) and fills its modes
+    with kz < 0 from uhat(-k) = conj(uhat(k)).  The plane kz = 0 holds both
+    modes of every conjugate pair; it is replaced by its Hermitian part, so
+    the result has the symmetry bit for bit.
+    """
+    n, kc, index = grid.n, grid.kc, grid.band_index
     if out is None:
-        n = grid.n
-        out = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
-    index = grid.band_index
-    out[..., index[:, None], index, : grid.kc] = band
+        out = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
+    mirror = np.conj(np.roll(band[..., ::-1, ::-1, :], 1, axis=(-3, -2)))  # conj at (-kx, -ky)
+    rows = index[:, None]
+    out[..., rows, index, :kc] = band
+    out[..., rows, index, n - kc + 1:] = mirror[..., :0:-1]
+    out[..., rows, index, 0] = 0.5 * (band[..., 0] + mirror[..., 0])
     return out
 
 
@@ -456,10 +439,10 @@ def nonlinear_term(u):
     divergence-free in-band w.
     """
     grid = u.grid
-    u_phys = band_to_physical(to_band(to_half(u), grid), grid)
+    u_phys = band_to_physical(to_band(u.coefficients, grid), grid)
     ghat = convection_band(_kernels.convective_product(u_phys), grid)
     _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band)
-    return SpectralVelocity(grid, from_half(from_band(ghat, grid), grid))
+    return SpectralVelocity(grid, from_band(ghat, grid))
 
 
 def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
@@ -470,6 +453,8 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     """
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ConfigurationError(f"amplitude must be finite and >= 0, got {amplitude}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     n = grid.n
     if amplitude == 0.0:
         return SpectralVelocity(grid, np.zeros((3, n, n, n), dtype=np.complex128))
@@ -480,15 +465,15 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
 
     band = grid.dealias_mask & (grid.ksq_int > 0)
     target = np.zeros_like(grid.ksq)
-    target[band] = grid.ksq[band] ** (energy_spectrum_slope / 4.0)
-
     mode_mag = np.sqrt((sol.real**2 + sol.imag**2).sum(axis=0))
     safe = np.where(mode_mag > 0.0, mode_mag, 1.0)
-    shaped = sol * (target / safe)
-    field = SpectralVelocity(grid, np.ascontiguousarray(shaped))
-    norm = sobolev_norm(field, 0)
-    if norm == 0.0:
-        raise ConfigurationError("random field degenerated to zero; change the seed")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
+        target[band] = grid.ksq[band] ** (energy_spectrum_slope / 4.0)
+        shaped = sol * (target / safe)
+        norm = sobolev_norm(SpectralVelocity(grid, np.ascontiguousarray(shaped)), 0)
+    if not (norm > 0.0 and np.isfinite(norm)):
+        raise ConfigurationError(f"random field with spectrum slope {energy_spectrum_slope} "
+                                 f"has L2 norm {norm}; change the seed or the slope")
     return SpectralVelocity(
         grid, np.ascontiguousarray(shaped * (amplitude / norm))
     )

@@ -89,6 +89,51 @@ def test_simulate_non_positive_blowup_ceiling_is_usage_error(tmp_path, ceiling):
     assert not out.exists()
 
 
+def _rejected_as_usage_error(argv, out, capsys):
+    """Run argv; require exit 64, one ``nsreg:`` stderr line and no files."""
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nsreg: configuration error:")
+    assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3"],
+    ["calibrate", "--N", "8", "--ensemble", "1"],
+    ["compare", "--h1sq", "1", "--l2-sweep", "0.5", "--simulate", "--N", "8", "--T", "0.01",
+     "--dt", "1e-3"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "seed"
+    line = _rejected_as_usage_error(argv + ["--seed", "-1", "--out", out], out, capsys)
+    assert "seed" in line
+
+
+@pytest.mark.parametrize("length", ["1e-300", "1e-160", "1e-100", "1e300"])
+def test_simulate_overflowing_period_is_usage_error(tmp_path, capsys, length):
+    out = tmp_path / "period"
+    line = _rejected_as_usage_error(["simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3",
+                                     "--L", length, "--out", out], out, capsys)
+    assert "domain period" in line
+
+
+def test_simulate_default_period_given_explicitly(tmp_path):
+    out = tmp_path / "period"
+    assert run(["simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3",
+                "--L", repr(2.0 * math.pi), "--out", out]) == EXIT_OK
+    assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("slope", ["1e308", "3000"])
+def test_simulate_slope_with_non_finite_field_is_usage_error(tmp_path, capsys, slope):
+    out = tmp_path / "slope"
+    line = _rejected_as_usage_error(["simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3",
+                                     "--slope", slope, "--out", out], out, capsys)
+    assert "slope" in line
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     out = tmp_path / "boom"
     code = run(["simulate", "--init", "random", "--amplitude", "100",

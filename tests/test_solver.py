@@ -26,7 +26,7 @@ from nsreg import (
 from nsreg import _kernels
 from nsreg.errors import GridMismatchError, InvariantViolationError
 from nsreg.solver import _check_invariants, _sample, _Stepper
-from nsreg.spectral import from_physical, to_band, to_half
+from nsreg.spectral import from_physical, to_band
 
 
 def zero_field(grid):
@@ -134,8 +134,9 @@ def reference_step(stepper, coeffs, t, dt):
     reproduce bit for bit.
     """
     grid, config, forcing = stepper.grid, stepper.config, stepper.forcing
-    n, mask = grid.n, grid.dealias_mask_half
-    k = (grid.kx[:, None, None], grid.kx[None, :, None], grid.kz_half)
+    n, nh = grid.n, grid.n // 2 + 1
+    mask, kz_half = grid.dealias_mask[..., :nh], grid.kx[:nh]
+    k = (grid.kx[:, None, None], grid.kx[None, :, None], kz_half)
 
     def rhs(half, t):
         u = irfftn(half * mask, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
@@ -145,16 +146,16 @@ def reference_step(stepper, coeffs, t, dt):
         conv[1] = k[0] * flux[1] + k[1] * flux[3] + k[2] * flux[4]
         conv[2] = k[0] * flux[2] + k[1] * flux[4]
         conv *= 1j * mask
-        out = _kernels.leray_project_modes(-conv, grid.kx, grid.kx, grid.kz_half)
+        out = _kernels.leray_project_modes(-conv, grid.kx, grid.kx, kz_half)
         f = forcing.at(t)
         if f is not None:
-            fhat = to_half(f) * mask
+            fhat = f.coefficients[..., :nh] * mask
             if forcing.kind == "time_dependent":
-                _kernels.leray_project_modes(fhat, grid.kx, grid.kx, grid.kz_half)
+                _kernels.leray_project_modes(fhat, grid.kx, grid.kx, kz_half)
             out += fhat
         return out
 
-    lam = config.nu * grid.ksq_half
+    lam = config.nu * grid.ksq[..., :nh]
     e_full, e_half = np.exp(-lam * dt), np.exp(-lam * (0.5 * dt))
     if config.integrator == "if_rk4":
         n1 = rhs(coeffs, t)
@@ -180,7 +181,7 @@ def test_band_step_equals_full_spectrum_formula(grid16, integrator, forcing_kind
     cfg = SolverConfig(nu=0.3, dt=2e-2, t_end=1.0, integrator=integrator)
     u = random_divfree_field(grid16, 21, -2.0, 6.0).coefficients
     u = u + field_beyond_band(grid16, 22, 0.5).coefficients
-    coeffs = np.ascontiguousarray(to_half(SpectralVelocity(grid16, u)))
+    coeffs = np.ascontiguousarray(u[..., : grid16.n // 2 + 1])
     stepper = _Stepper(grid16, forcing, cfg)
     for t in (0.0, 0.02):
         got, _ = stepper.step(to_band(coeffs, grid16), t, cfg.dt)
@@ -213,14 +214,18 @@ def test_band_samples_plus_remainder_shells_match_half_spectrum_sums(grid16, for
     u0 = SpectralVelocity(grid16, u0 + field_beyond_band(grid16, 14, 1.0).coefficients)
     res = simulate(u0, forcing, SolverConfig(nu=0.2, dt=1e-2, t_end=0.1))
     tr = res.trace
+    nh = grid16.n // 2 + 1
+    multiplicity_half = np.full(nh, 2.0)  # kz = 0 and the Nyquist plane hold both of each pair
+    multiplicity_half[[0, -1]] = 1.0
+    ksq_half = grid16.ksq[..., :nh]
     for i, u in ((0, u0), (-1, res.final_state)):
-        half = to_half(u)
+        half = u.coefficients[..., :nh]
         mag = (half.real**2 + half.imag**2).sum(axis=0)
-        want = [grid16.volume * float((grid16.multiplicity_half * grid16.ksq_half**m * mag).sum())
+        want = [grid16.volume * float((multiplicity_half * ksq_half**m * mag).sum())
                 for m in range(3)]
         got = [tr.l2_sq[i], tr.h1_sq[i], tr.h2_sq[i]]
         assert got == pytest.approx(want, rel=1e-14)
-    outside = np.abs(to_half(res.final_state)) * ~grid16.dealias_mask_half
+    outside = np.abs(res.final_state.coefficients[..., :nh]) * ~grid16.dealias_mask[..., :nh]
     assert (outside**2).sum() > 1e-3 * tr.l2_sq[-1] / grid16.volume
 
 
@@ -237,7 +242,8 @@ def test_cfl_steps_equal_a_loop_with_the_physical_speed(grid16, integrator, seed
     n, dx = grid16.n, grid16.length / grid16.n
     t, times = 0.0, [0.0]
     while t < cfg.t_end * (1.0 - 1e-12):
-        speed = np.abs(irfftn(to_half(u), s=(n, n, n), axes=(-3, -2, -1), norm="forward")).max()
+        half = u.coefficients[..., : n // 2 + 1]
+        speed = np.abs(irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")).max()
         h = min(cfg.dt, cfg.cfl * dx / speed, cfg.t_end - t)
         u = step(u, forcing, t, h, cfg)
         t += h
@@ -326,7 +332,7 @@ def test_final_norms_match_recorded_runs(grid16, init, config, expected):
 
 
 def test_check_invariants_rejects_mean_mode(grid8):
-    band = to_band(to_half(random_divfree_field(grid8, 1, -2.0, 1.0)), grid8)
+    band = to_band(random_divfree_field(grid8, 1, -2.0, 1.0).coefficients, grid8)
     _check_invariants(grid8, band, 0.0)
     band[2, 0, 0, 0] = 0.5
     with pytest.raises(InvariantViolationError, match="zero-mean"):
@@ -482,6 +488,6 @@ def test_sample_force_inner_product_matches_full_fields(grid16):
     cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=1.0)
     u = step(random_divfree_field(grid16, 3), forcing, 0.0, 1e-3, cfg)
     fband = _Stepper(grid16, forcing, cfg).force_band(1e-3)
-    f_dot_u = _sample(grid16, to_band(to_half(u), grid16), fband)[3]
+    f_dot_u = _sample(grid16, to_band(u.coefficients, grid16), fband)[3]
     assert f_dot_u != 0.0
     assert f_dot_u == pytest.approx(inner_product(f, u), rel=1e-13)

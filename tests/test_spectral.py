@@ -34,7 +34,6 @@ from nsreg.spectral import (
     hermitian_adjoint,
     physical_to_band,
     to_band,
-    to_half,
 )
 
 from conftest import fine_quadrature_b, physical_l2_sq
@@ -74,6 +73,19 @@ def test_wavegrid_rejects_bad_length():
         make_wavegrid(8, -1.0)
 
 
+@pytest.mark.parametrize("length", [1e-300, 1e-160, 1e-100, 1e300])
+def test_wavegrid_rejects_period_with_overflowing_grid_quantities(length):
+    # L^3 or the largest band |k|^4 (the H2 weight) is not finite and positive
+    with pytest.raises(ConfigurationError, match="domain period"):
+        make_wavegrid(8, length)
+
+
+def test_wavegrid_default_period_has_finite_grid_quantities():
+    g = make_wavegrid(8)
+    assert g.length == TWO_PI
+    assert np.isfinite(g.volume) and np.isfinite(g.norm_weights_band).all()
+
+
 # ------------------------------------------------------------ dealias band
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -82,15 +94,17 @@ def test_band_layout_matches_dealias_mask(n):
     kc = g.kc
     assert g.band_index.tolist() == list(range(kc)) + list(range(n - kc + 1, n))
     assert np.all(np.abs(g.k_int[g.band_index]) < n / 3.0)
-    assert (2 * kc - 1) ** 2 * kc == g.dealias_mask_half.sum()
+    assert (2 * kc - 1) ** 2 * kc == g.dealias_mask[..., : n // 2 + 1].sum()
     ones = np.ones((1, 2 * kc - 1, 2 * kc - 1, kc), dtype=np.complex128)
-    assert np.array_equal(from_band(ones, g)[0].real.astype(bool), g.dealias_mask_half)
+    assert np.array_equal(from_band(ones, g)[0].real.astype(bool), g.dealias_mask)
 
 
 def _half_with_energy_everywhere(g, seed):
+    """Half spectrum of real noise, made exactly Hermitian: for N = 12 the
+    kz = 0 plane of ``fftn`` is Hermitian only to rounding."""
     rng = np.random.default_rng(seed)
-    half = np.fft.rfftn(rng.standard_normal((3, g.n, g.n, g.n)), axes=(-3, -2, -1))
-    return half / g.n_modes
+    full = np.fft.fftn(rng.standard_normal((3, g.n, g.n, g.n)), axes=(-3, -2, -1)) / g.n_modes
+    return (0.5 * (full + hermitian_adjoint(full)))[..., : g.n // 2 + 1]
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -98,8 +112,8 @@ def test_band_transforms_match_full_transforms(n):
     g = make_wavegrid(n)
     half = _half_with_energy_everywhere(g, n)
     band = to_band(half, g)
-    padded = from_band(band, g)  # the half spectrum, zero outside the band
-    assert np.array_equal(padded, half * g.dealias_mask_half)
+    padded = from_band(band, g)[..., : n // 2 + 1]  # the half spectrum, zero outside the band
+    assert np.array_equal(padded, half * g.dealias_mask[..., : n // 2 + 1])
 
     samples = np.fft.irfftn(padded, s=(n, n, n), axes=(-3, -2, -1)) * g.n_modes
     got = band_to_physical(band, g)
@@ -120,7 +134,7 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     g = make_wavegrid(n)
     half = _half_with_energy_everywhere(g, n + 1)
     band = to_band(half, g)
-    samples = irfftn(half * g.dealias_mask_half, s=(n, n, n), axes=(-3, -2, -1),
+    samples = irfftn(half * g.dealias_mask[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
                      norm="forward")
     assert np.array_equal(band_to_physical(band, g), samples)
     full = rfftn(samples, axes=(-3, -2, -1), norm="forward")
@@ -394,7 +408,7 @@ def test_five_component_flux_projects_to_six_product_convection(n):
     from scipy.fft import rfftn
 
     g = make_wavegrid(n)
-    u = band_to_physical(to_band(to_half(random_divfree_field(g, n, -2.0, 3.0)), g), g)
+    u = band_to_physical(to_band(random_divfree_field(g, n, -2.0, 3.0).coefficients, g), g)
     kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
 
     def band_spectrum(samples):
@@ -471,6 +485,17 @@ def test_random_field_rejects_negative_amplitude(grid16):
 def test_random_field_rejects_non_finite_amplitude(grid16, amplitude):
     with pytest.raises(ConfigurationError):
         random_divfree_field(grid16, 1, -2.0, amplitude)
+
+
+def test_random_field_rejects_negative_seed(grid8):
+    with pytest.raises(ConfigurationError, match="seed"):
+        random_divfree_field(grid8, -1, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("slope", [1e308, 3000.0])
+def test_random_field_rejects_slope_with_non_finite_norm(grid8, slope):
+    with pytest.raises(ConfigurationError, match="slope"):
+        random_divfree_field(grid8, 1, slope, 1.0)
 
 
 def test_validate_rejects_nan_mode(grid8):
