@@ -29,22 +29,28 @@ def convective_product(u_phys):
     return out
 
 
-def leray_project_modes(vhat, kx, ky, kz):
+def leray_project_modes(vhat, kx, ky, kz, ksq=None):
     """Remove the gradient part of each Fourier mode, in place.
 
     vhat: (3, Nx, Ny, Nz) complex128; kx, ky, kz: scaled wavenumbers of
     each axis (N each for the full layout, B, B and kc for the band).
-    Mode 0 is zeroed.  Returns vhat.
+    ``ksq`` is kx^2 + ky^2 + kz^2 on the modes with 1 at mode 0 (such as
+    ``WaveGrid.ksq_band``); it is formed here when None.  Mode 0 is
+    zeroed.  Returns vhat.
     """
     gx = kx[:, None, None]
     gy = ky[None, :, None]
     gz = kz[None, None, :]
-    ksq = gx * gx + gy * gy + gz * gz
-    ksq[0, 0, 0] = 1.0  # avoid 0/0; mode 0 is overwritten below
-    div = (gx * vhat[0] + gy * vhat[1] + gz * vhat[2]) / ksq
-    vhat[0] -= gx * div
-    vhat[1] -= gy * div
-    vhat[2] -= gz * div
+    if ksq is None:
+        ksq = gx * gx + gy * gy + gz * gz
+        ksq[0, 0, 0] = 1.0  # avoid 0/0; mode 0 is overwritten below
+    div = np.multiply(gx, vhat[0])
+    term = np.multiply(gy, vhat[1])
+    div += term
+    div += np.multiply(gz, vhat[2], out=term)
+    div /= ksq
+    for v, g in zip(vhat, (gx, gy, gz)):
+        v -= np.multiply(g, div, out=term)
     vhat[:, 0, 0, 0] = 0.0
     return vhat
 

@@ -37,7 +37,7 @@ from .errors import (
 from .spectral import (
     SpectralVelocity,
     band_to_physical,
-    convection_band,
+    flux_contraction,
     from_band,
     hermitian_adjoint,
     shear_field,
@@ -234,7 +234,7 @@ class _Stepper:
 
     def _project(self, band):
         g = self.grid
-        return _kernels.leray_project_modes(band, g.kx_band, g.kx_band, g.kz_band)
+        return _kernels.leray_project_modes(band, g.kx_band, g.kx_band, g.kz_band, g.ksq_band)
 
     def force_band(self, t):
         """Band of the force at time t (projected if time-dependent), or None."""
@@ -262,8 +262,11 @@ class _Stepper:
             top = float(max(u.max(), -u.min()))
         flux = _kernels.convective_product(u)
         del u  # not alive through the forward transforms
-        out = convection_band(flux, self.grid)
-        self._project(np.negative(out, out=out))  # also removes the flux's gradient part
+        # -P[i k_i F_ij] = -i P[k_i F_ij]: P and -i act componentwise with
+        # real k, so the factor goes on once, after the projection, which
+        # also removes the flux's gradient part
+        out = self._project(flux_contraction(flux, self.grid))
+        out *= -1j
         fband = self.force_band(t)
         if fband is not None:
             out += fband
@@ -406,7 +409,12 @@ def simulate(u0, forcing, config):
         return t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
 
     t = 0.0
-    samples = [sample(c, t)]
+    with np.errstate(over="ignore"):
+        samples = [sample(c, t)]
+    names = ("l2_sq", "h1_sq", "h2_sq", "f_dot_u", "f_sq")
+    bad = [f"{k}={v}" for k, v in zip(names, samples[0][1:]) if not math.isfinite(v)]
+    if bad:  # a finite field whose |uhat|^2 sums overflow
+        raise ConfigurationError("initial field has overflowing squared norms: " + ", ".join(bad))
     steady_f_sq = samples[0][-1] if forcing.kind == "steady" else None
 
     termination = "completed"

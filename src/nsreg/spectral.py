@@ -20,7 +20,8 @@ B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
 field because its modes with kz < 0 are the conjugates of those at -k.
 :func:`to_band` and :func:`from_band` convert between the two, and
 :func:`band_to_physical` and :func:`physical_to_band` transform the band
-without touching the lines that the 2/3 rule leaves zero.
+in two ``scipy.fft`` calls each, with the x-y passes restricted to the kz
+planes that the 2/3 rule keeps.
 """
 
 import json
@@ -90,6 +91,11 @@ class WaveGrid:
         assert (2 * self.kc - 1) ** 3 == self.dealias_mask.sum()
         self.kx_band = self.kx[self.band_index]
         self.kz_band = self.kx[: self.kc]
+        # |k|^2 on the band as the Leray projection forms it, with 1 at the
+        # origin so that it divides (the mean mode has no gradient part)
+        bx, by = self.kx_band[:, None, None], self.kx_band[None, :, None]
+        self.ksq_band = bx * bx + by * by + self.kz_band * self.kz_band
+        self.ksq_band[0, 0, 0] = 1.0
         # multiplicity * |k|^(2m), m = 0, 1, 2, on the band: weights of the
         # squared norms.  A band mode with kz > 0 stands for itself and its
         # conjugate at -k, so the multiplicity is 1 at kz = 0 and 2 elsewhere.
@@ -101,7 +107,8 @@ class WaveGrid:
         )
 
         for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
-                    self.band_index, self.kx_band, self.kz_band, self.norm_weights_band):
+                    self.band_index, self.kx_band, self.kz_band, self.ksq_band,
+                    self.norm_weights_band):
             arr.setflags(write=False)
 
     @property
@@ -175,19 +182,17 @@ class SpectralVelocity:
             raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
             return self
-        herm = hermitian_adjoint(c)
-        if float(np.abs(c - herm).max()) > hermitian_tol * peak:
+        if hermitian_defect(c) > hermitian_tol * peak:
             raise ValueError("field is not Hermitian-symmetric (complex physical part)")
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")
         if div_tol is None:
             div_tol = 1e-12 * peak
         g = self.grid
-        div = (
-            g.kx[:, None, None] * c[0]
-            + g.kx[None, :, None] * c[1]
-            + g.kx[None, None, :] * c[2]
-        )
+        div = np.multiply(g.kx[:, None, None], c[0])
+        term = np.multiply(g.kx[None, :, None], c[1])
+        div += term
+        div += np.multiply(g.kx, c[2], out=term)
         worst = float(np.abs(div).max())
         if worst > div_tol * float(np.sqrt(g.ksq.max())):
             raise ValueError(f"field is not divergence-free: max |k.uhat| = {worst:g}")
@@ -216,6 +221,30 @@ def hermitian_adjoint(arr):
     """conj(arr) evaluated at -k, in the same FFT layout."""
     rev = np.conj(arr[..., ::-1, ::-1, ::-1])
     return np.roll(rev, 1, axis=(-3, -2, -1))
+
+
+def hermitian_defect(arr):
+    """max_k |arr(k) - conj(arr(-k))| over the last three axes (each of
+    length N, FFT layout), as a float.
+
+    Equal to ``np.abs(arr - hermitian_adjoint(arr)).max()`` without the
+    reversed and rolled copies of the whole field, over half the modes:
+    the defect at -k is minus the conjugate of the one at k,
+    so its modulus is the same in IEEE arithmetic, and the half kz >= 0
+    holds the maximum.  Along x and y index 0 pairs with itself and
+    1, ..., N-1 with N-1, ..., 1; along z, 1, ..., N/2 pairs with
+    N-1, ..., N/2.  The 8 block pairs are views.
+    """
+    n = arr.shape[-1]
+    xy = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    z = ((slice(0, 1), slice(0, 1)), (slice(1, n // 2 + 1), slice(n - 1, n // 2 - 1, -1)))
+    worst = 0.0
+    for x, mx in xy:
+        for y, my in xy:
+            for kz, mz in z:
+                d = arr[..., x, y, kz] - np.conj(arr[..., mx, my, mz])
+                worst = max(worst, float(np.abs(d).max()))
+    return worst
 
 
 def to_physical(u):
@@ -354,35 +383,54 @@ def band_to_physical(band, grid):
     """Collocation samples of a field given by its dealias band.
 
     Equal to ``irfftn`` of the zero-padded half spectrum, with the same
-    axis order (x, then y, then the c2r pass along z), but the x pass runs
-    only over the B * kc lines with a retained (ky, kz), and the y pass
-    over the N * kc lines with a retained kz.
+    axis order (x, then y, then the c2r pass along z), in 2 calls: the
+    band is scattered once into zeros of the half-spectrum shape, one 2-D
+    pass runs over the N * kc x lines and N * kc y lines with a retained
+    kz, and the c2r pass over the N * N z lines gets all N/2 + 1 planes,
+    so nothing is padded.
     """
-    n, index = grid.n, grid.band_index
-    lead = band.shape[:-3]
-    spread = np.zeros(lead + (n, len(index), grid.kc), dtype=np.complex128)
-    spread[..., index, :, :] = band
-    spread_x = ifftn(spread, axes=(-3,), norm="forward", overwrite_x=True)
-    spread = np.zeros(lead + (n, n, grid.kc), dtype=np.complex128)
-    spread[..., index, :] = spread_x
-    spread = ifftn(spread, axes=(-2,), norm="forward", overwrite_x=True)
-    return irfftn(spread, s=(n,), axes=(-1,), norm="forward")
+    n, kc, index = grid.n, grid.kc, grid.band_index
+    spread = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    spread[..., index[:, None], index, :kc] = band
+    low = spread[..., :kc]
+    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True)
+    if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
+        low[...] = done
+    return irfftn(spread, axes=(-1,), norm="forward")
 
 
 def physical_to_band(samples, grid):
     """Dealias band of the spectrum of real collocation samples.
 
     Equal to ``rfftn`` followed by the band gather, with the same axis
-    order (r2c along z, then x, then y): the x pass runs over the N * kc
-    lines with a retained kz, and the y pass over the B * kc lines with a
-    retained (kx, kz).  Bit for bit equal when N is a power of two; each
-    pass scales by 1/N, where ``rfftn`` scales once by 1/N^3.
+    order (r2c along z, then x, then y), in 2 calls: the r2c pass over the
+    N * N z lines, then one 2-D pass over the N * kc x lines and N * kc y
+    lines with a retained kz, then one gather.  Bit for bit equal when N
+    is a power of two; the passes scale by 1/N and 1/N^2, where ``rfftn``
+    scales once by 1/N^3.
     """
     index = grid.band_index
     spec = rfftn(samples, axes=(-1,), norm="forward")[..., : grid.kc]
-    spec = fftn(spec, axes=(-3,), norm="forward", overwrite_x=True)
-    spec = fftn(spec[..., index, :, :], axes=(-2,), norm="forward", overwrite_x=True)
-    return spec[..., index, :]
+    spec = fftn(spec, axes=(-3, -2), norm="forward", overwrite_x=True)
+    return spec[..., index[:, None], index, :]
+
+
+def flux_contraction(flux, grid):
+    """k_i F_ij on the band: the spectrum of the divergence of Basdevant's
+    flux (:func:`_kernels.convective_product`) divided by i, for a
+    band-limited u.  Accumulated in place, in the order
+    (k_x F_xj + k_y F_yj) + k_z F_zj; F_zz is zero.
+    """
+    f = physical_to_band(flux, grid)
+    kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
+    out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
+    term = np.empty_like(out[0])
+    for row, (fx, fy, fz) in zip(out, ((0, 1, 2), (1, 3, 4), (2, 4, None))):
+        np.multiply(kx, f[fx], out=row)
+        row += np.multiply(ky, f[fy], out=term)
+        if fz is not None:
+            row += np.multiply(kz, f[fz], out=term)
+    return out
 
 
 def convection_band(flux, grid):
@@ -391,18 +439,13 @@ def convection_band(flux, grid):
     band-limited u.  Callers must Leray-project it: the projection removes
     the gradient and leaves P[(u . grad) u].
 
-    Uses the divergence form  sum_i d F_ij / d x_i  of the flux
-    F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the 5
-    forward real 3-D transforms of F, pruned to the band, after the 3
+    Uses the divergence form  sum_i d F_ij / d x_i = i k_i F_ij  of the
+    flux F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the
+    5 forward real 3-D transforms of F, pruned to the band, after the 3
     inverse ones of :func:`band_to_physical` that give u.  The 2/3 rule
     makes the retained modes of each product alias-free.
     """
-    f = physical_to_band(flux, grid)
-    kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
-    out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
-    out[0] = kx * f[0] + ky * f[1] + kz * f[2]
-    out[1] = kx * f[1] + ky * f[3] + kz * f[4]
-    out[2] = kx * f[2] + ky * f[4]
+    out = flux_contraction(flux, grid)
     out *= 1j
     return out
 
@@ -441,7 +484,7 @@ def nonlinear_term(u):
     grid = u.grid
     u_phys = band_to_physical(to_band(u.coefficients, grid), grid)
     ghat = convection_band(_kernels.convective_product(u_phys), grid)
-    _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band)
+    _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
     return SpectralVelocity(grid, from_band(ghat, grid))
 
 

@@ -619,13 +619,29 @@ def test_monitor_corrupted_trace_never_passes(shear_run, data):
     assert code in (EXIT_USAGE, EXIT_NORM_INCONSISTENT)
 
 
-def test_entry_point_missing_trace_exit_code(tmp_path):
+def _entry_point(*args):
+    """Run ``python -m nsreg.cli`` in a fresh interpreter; returns the process."""
     src = os.path.dirname(os.path.dirname(nsreg.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsreg.cli", "monitor", "--trace", tmp_path / "missing.csv"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "nsreg.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_entry_point_missing_trace_exit_code(tmp_path):
+    proc = _entry_point("monitor", "--trace", tmp_path / "missing.csv")
     assert proc.returncode == EXIT_NO_INPUT
     assert "Traceback" not in proc.stderr
     assert "missing.csv" in proc.stderr
+
+
+def test_entry_point_overflowing_initial_norms_is_usage_error(tmp_path):
+    # a finite field whose squared norms overflow: one message, no numpy warning
+    out = tmp_path / "huge"
+    proc = _entry_point("simulate", "--N", "8", "--T", "0.01", "--dt", "1e-3",
+                        "--amplitude", "1e308", "--out", out)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.splitlines() == [
+        "nsreg: configuration error: initial field has overflowing squared norms: "
+        "l2_sq=inf, h1_sq=inf, h2_sq=inf"]
+    assert not out.exists()

@@ -26,12 +26,14 @@ from nsreg import (
     trilinear_b,
 )
 from nsreg import _kernels
+from nsreg.solver import ForcingSpec, SolverConfig, _Stepper
 from nsreg.spectral import (
     band_to_physical,
     convection_band,
     field_with_norms,
     from_band,
     hermitian_adjoint,
+    hermitian_defect,
     physical_to_band,
     to_band,
 )
@@ -127,7 +129,7 @@ def test_band_transforms_match_full_transforms(n):
     assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_band_transforms_bitwise_for_power_of_two(n):
     from scipy.fft import irfftn, rfftn
 
@@ -169,6 +171,22 @@ def test_band_transforms_use_returned_arrays(n):
         got_band = physical_to_band(products, g)
     for got, want in ((got_samples, samples), (got_band, want_band)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_stepper_rhs_makes_four_fft_calls(monkeypatch, grid16):
+    # one 2-D pass and one z pass each way, whatever the field
+    import nsreg.spectral
+
+    band = to_band(random_divfree_field(grid16, 4).coefficients, grid16)
+    stepper = _Stepper(grid16, ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3))
+    calls = []
+    for name in ("fftn", "ifftn", "irfftn", "rfftn"):
+        def counted(*args, _fn=getattr(nsreg.spectral, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nsreg.spectral, name, counted)
+    stepper.rhs(band, 0.0)
+    assert sorted(calls) == ["fftn", "ifftn", "irfftn", "rfftn"]
 
 
 # ---------------------------------------------------------- leray projection
@@ -528,6 +546,39 @@ def test_round_trip_physical(rand_field):
     r = to_physical(u)
     back = from_physical(u.grid, r.samples)
     assert np.abs(back - u.coefficients).max() <= 1e-13
+
+
+def _plant_sites(n):
+    """One index per block pair of :func:`hermitian_defect`, kz >= 0 half
+    (x, y in {0, 1..N-1}; z in {0, 1..N/2}, including the kz = N/2 plane),
+    plus sites with kz < 0 only."""
+    h = n // 2
+    sites = [(x, y, z) for x in (0, 1, n - 1) for y in (0, 2, n - 1) for z in (0, 1, h)]
+    return sites + [(1, 2, n - 1), (0, 0, h + 1), (n - 1, 0, n - 1)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_hermitian_defect_equals_full_adjoint_defect(n):
+    rng = np.random.default_rng(n)
+    g = make_wavegrid(n)
+    base = random_divfree_field(g, n).coefficients
+    for comp, site in enumerate(_plant_sites(n)):
+        for size in (1e-9, 3.0):
+            c = np.array(base)
+            c[(comp % 3,) + site] += size * complex(*rng.standard_normal(2))
+            want = float(np.abs(c - hermitian_adjoint(c)).max())
+            assert want > 0.0
+            assert hermitian_defect(c) == want
+    assert hermitian_defect(base) == float(np.abs(base - hermitian_adjoint(base)).max())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_validate_rejects_planted_hermitian_defect(n):
+    g = make_wavegrid(n)
+    c = np.array(random_divfree_field(g, 1).coefficients)
+    c[0, 0, 0, n // 2] += 1e-3j  # the kz = N/2 plane: its own mirror
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpectralVelocity(g, c).validate()
 
 
 def test_hermitian_adjoint_involution(rand_field):
