@@ -9,17 +9,19 @@ the convection term only after a Leray projection.
 import numpy as np
 
 
-def convective_product(u_phys):
+def convective_product(u_phys, out=None):
     """Basdevant's five-component flux on the collocation grid.
 
     u_phys: (3, n, n, n) float64.  Returns (5, n, n, n) float64 holding
     (u_x^2 - u_z^2, u_x u_y, u_x u_z, u_y^2 - u_z^2, u_y u_z): the flux
     u_i u_j minus delta_ij u_z^2, whose zz component is zero.  Its
     divergence is (u . grad) u minus grad(u_z^2), so it gives the
-    convection only after a Leray projection.
+    convection only after a Leray projection.  ``out``, when given, is
+    written and returned; it must not overlap ``u_phys``.
     """
     ux, uy, uz = u_phys
-    out = np.empty((5,) + u_phys.shape[1:])
+    if out is None:
+        out = np.empty((5,) + u_phys.shape[1:])
     zz = np.multiply(uz, uz, out=out[2])  # slot 2 holds u_z^2 until u_x u_z
     np.subtract(np.multiply(ux, ux, out=out[0]), zz, out=out[0])
     np.subtract(np.multiply(uy, uy, out=out[3]), zz, out=out[3])
@@ -62,7 +64,19 @@ def weighted_spectral_sum(vhat, weight):
     is a float; or it stacks such weights along a leading axis, and the
     result is a list with one sum per weight, |vhat|^2 formed once.
     """
-    mag = (vhat.real * vhat.real + vhat.imag * vhat.imag).sum(axis=0)
+    mag = squared_modulus(vhat)
     if weight.ndim == mag.ndim:
         return float((weight * mag).sum())
     return [float((w * mag).sum()) for w in weight]
+
+
+def squared_modulus(vhat):
+    """|vhat|^2 summed over the leading (component) axis.
+
+    Accumulated one component at a time, in the order (c0 + c1) + c2 of
+    ``.sum(axis=0)``, so without a temporary of all components.
+    """
+    mag = vhat[0].real * vhat[0].real + vhat[0].imag * vhat[0].imag
+    for comp in vhat[1:]:
+        mag += comp.real * comp.real + comp.imag * comp.imag
+    return mag

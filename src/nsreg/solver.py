@@ -36,7 +36,6 @@ from .errors import (
 )
 from .spectral import (
     SpectralVelocity,
-    band_to_physical,
     flux_contraction,
     from_band,
     hermitian_adjoint,
@@ -257,15 +256,14 @@ class _Stepper:
         component on the collocation grid, read off the transform the
         convection needs anyway.
         """
-        u = band_to_physical(band, self.grid)
         if speed:
-            top = float(max(u.max(), -u.min()))
-        flux = _kernels.convective_product(u)
-        del u  # not alive through the forward transforms
+            out, top = flux_contraction(band, self.grid, speed=True)
+        else:
+            out = flux_contraction(band, self.grid)
         # -P[i k_i F_ij] = -i P[k_i F_ij]: P and -i act componentwise with
         # real k, so the factor goes on once, after the projection, which
         # also removes the flux's gradient part
-        out = self._project(flux_contraction(flux, self.grid))
+        self._project(out)
         out *= -1j
         fband = self.force_band(t)
         if fband is not None:
@@ -288,13 +286,26 @@ class _Stepper:
                 dt = min(dt, self.config.cfl * dx / speed)
         b_full, b_half = self._factors(dt)
         if self.config.integrator == "if_rk4":
+            # each stage is dropped once used; b_full n1 + 2 b_half (n2 + n3)
+            # is formed before stage 4, in the order of the RK4 combine
             u2 = b_half * (c + (0.5 * dt) * n1)
             n2 = self.rhs(u2, t + 0.5 * dt)
+            del u2
             u3 = b_half * c + (0.5 * dt) * n2
             n3 = self.rhs(u3, t + 0.5 * dt)
-            u4 = b_full * c + dt * b_half * n3
+            del u3
+            decayed = b_full * c
+            u4 = decayed + dt * b_half * n3
+            n2 += n3
+            del n3
+            acc = b_full * n1
+            del n1
+            acc += 2.0 * b_half * n2
+            del n2
             n4 = self.rhs(u4, t + dt)
-            new = b_full * c + (dt / 6.0) * (b_full * n1 + 2.0 * b_half * (n2 + n3) + n4)
+            del u4
+            acc += n4
+            new = decayed + (dt / 6.0) * acc
         else:
             u2 = b_full * (c + dt * n1)
             n2 = self.rhs(u2, t + dt)

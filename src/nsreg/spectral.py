@@ -20,17 +20,25 @@ B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
 field because its modes with kz < 0 are the conjugates of those at -k.
 :func:`to_band` and :func:`from_band` convert between the two, and
 :func:`band_to_physical` and :func:`physical_to_band` transform the band
-in two ``scipy.fft`` calls each, with the x-y passes restricted to the kz
-planes that the 2/3 rule keeps.
+in two FFT calls each, with the x-y passes restricted to the kz planes
+that the 2/3 rule keeps.  The fused 2-D x-y passes run on ``scipy.fft``.
+The z passes run on ``numpy.fft``, whose r2c and c2r transforms take
+``out=``, so the stepper writes them into the grid's transform workspace
+(:meth:`WaveGrid.workspace`); both libraries run the same pocketfft
+kernels, and the z passes are bit for bit those of ``scipy.fft``.
 """
 
 import json
+import math
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.fft import fftn, ifftn, irfftn, rfftn
+from numpy.fft import irfftn, rfftn
+from scipy.fft import fftn, ifftn
 
 from . import _kernels
 from .errors import ConfigurationError, GridMismatchError
@@ -45,7 +53,8 @@ class WaveGrid:
     """Fourier lattice of an N^3 periodic grid with period ``length``.
 
     Integer wavenumbers per axis are a bijection with [-N/2, N/2); physical
-    wavevectors are scaled by 2*pi/length.
+    wavevectors are scaled by 2*pi/length.  The grid also lends the
+    transform workspace of the stepper (:meth:`workspace`).
     """
 
     def __init__(self, n, length=TWO_PI):
@@ -111,6 +120,49 @@ class WaveGrid:
                     self.norm_weights_band):
             arr.setflags(write=False)
 
+        self._idle_workspace = None  # made on first use, kept while the grid lives
+        self._workspace_lock = threading.Lock()
+
+    @contextmanager
+    def workspace(self):
+        """Lend the arrays of the convection transforms, views on two byte
+        buffers X and Y: ``(spread, u, flux, spec, fband)``.
+
+        X holds ``spread``, the zero-padded half spectrum of the velocity,
+        then ``flux``, Basdevant's five-component flux, then ``fband``, the
+        band of its spectrum; Y holds ``u``, the velocity samples, then
+        ``spec``, the flux's z spectrum (see :func:`flux_contraction`).
+        Each array is dead before the next one on its buffer is written.
+        The buffers are made on first use and kept for the next caller, so
+        a time step allocates no full-grid array.  A caller that finds them
+        lent (to another thread, or further up its own stack) gets new
+        buffers for the block.  Contents are undefined on entry.
+        """
+        with self._workspace_lock:
+            work, self._idle_workspace = self._idle_workspace, None
+        if work is None:
+            work = self._new_workspace()
+        try:
+            yield work
+        finally:
+            with self._workspace_lock:
+                if self._idle_workspace is None:
+                    self._idle_workspace = work
+
+    def _new_workspace(self):
+        n, half, kc = self.n, self.n // 2 + 1, self.kc
+        b = 2 * kc - 1
+
+        def views(*layouts):
+            size = [math.prod(shape) * np.dtype(dtype).itemsize for dtype, shape in layouts]
+            buf = np.empty(max(size), dtype=np.uint8)
+            return [buf[:k].view(dtype).reshape(shape) for k, (dtype, shape) in zip(size, layouts)]
+
+        spread, flux, fband = views((np.complex128, (3, n, n, half)), (np.float64, (5, n, n, n)),
+                                    (np.complex128, (5, b, b, kc)))
+        u, spec = views((np.float64, (3, n, n, n)), (np.complex128, (5, n, n, half)))
+        return spread, u, flux, spec, fband
+
     @property
     def lam1(self):
         """Smallest positive eigenvalue of -Laplace on zero-mean fields."""
@@ -137,6 +189,9 @@ class WaveGrid:
 
     def __hash__(self):
         return hash((self.n, self.length))
+
+    def __reduce__(self):  # the tables and the workspace are rebuilt, not pickled
+        return WaveGrid, (self.n, self.length)
 
     def __repr__(self):
         return f"WaveGrid(n={self.n}, length={self.length!r})"
@@ -177,12 +232,12 @@ class SpectralVelocity:
         the default tolerance 1e-12 * max |uhat|.
         """
         c = self.coefficients
-        peak = float(np.abs(c).max())
+        peak = max(float(np.abs(comp).max()) for comp in c)  # no temporary of all three
         if not np.isfinite(peak):
             raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
             return self
-        if hermitian_defect(c) > hermitian_tol * peak:
+        if max(hermitian_defect(comp) for comp in c) > hermitian_tol * peak:
             raise ValueError("field is not Hermitian-symmetric (complex physical part)")
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")
@@ -379,7 +434,7 @@ def trilinear_b(u, v, w):
     return float((conv * w_phys).sum() * grid.cell_volume)
 
 
-def band_to_physical(band, grid):
+def band_to_physical(band, grid, spread=None, out=None):
     """Collocation samples of a field given by its dealias band.
 
     Equal to ``irfftn`` of the zero-padded half spectrum, with the same
@@ -387,19 +442,24 @@ def band_to_physical(band, grid):
     band is scattered once into zeros of the half-spectrum shape, one 2-D
     pass runs over the N * kc x lines and N * kc y lines with a retained
     kz, and the c2r pass over the N * N z lines gets all N/2 + 1 planes,
-    so nothing is padded.
+    so nothing is padded.  ``spread`` (complex, shape (..., N, N, N/2 + 1))
+    and ``out`` (float, shape (..., N, N, N)) are buffers to use instead of
+    new arrays; ``spread`` is overwritten.
     """
     n, kc, index = grid.n, grid.kc, grid.band_index
-    spread = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    if spread is None:
+        spread = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    else:
+        spread.fill(0.0)
     spread[..., index[:, None], index, :kc] = band
     low = spread[..., :kc]
     done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True)
     if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
         low[...] = done
-    return irfftn(spread, axes=(-1,), norm="forward")
+    return irfftn(spread, axes=(-1,), norm="forward", out=out)
 
 
-def physical_to_band(samples, grid):
+def physical_to_band(samples, grid, spec=None, out=None):
     """Dealias band of the spectrum of real collocation samples.
 
     Equal to ``rfftn`` followed by the band gather, with the same axis
@@ -407,47 +467,54 @@ def physical_to_band(samples, grid):
     N * N z lines, then one 2-D pass over the N * kc x lines and N * kc y
     lines with a retained kz, then one gather.  Bit for bit equal when N
     is a power of two; the passes scale by 1/N and 1/N^2, where ``rfftn``
-    scales once by 1/N^3.
+    scales once by 1/N^3.  ``spec`` (complex, shape (..., N, N, N/2 + 1))
+    is a buffer for the z spectrum, overwritten, and ``out`` (complex,
+    shape (..., B, B, kc)) one for the band, returned.
     """
-    index = grid.band_index
-    spec = rfftn(samples, axes=(-1,), norm="forward")[..., : grid.kc]
+    n, kc = grid.n, grid.kc
+    spec = rfftn(samples, axes=(-1,), norm="forward", out=spec)[..., :kc]
     spec = fftn(spec, axes=(-3, -2), norm="forward", overwrite_x=True)
-    return spec[..., index[:, None], index, :]
-
-
-def flux_contraction(flux, grid):
-    """k_i F_ij on the band: the spectrum of the divergence of Basdevant's
-    flux (:func:`_kernels.convective_product`) divided by i, for a
-    band-limited u.  Accumulated in place, in the order
-    (k_x F_xj + k_y F_yj) + k_z F_zj; F_zz is zero.
-    """
-    f = physical_to_band(flux, grid)
-    kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
-    out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
-    term = np.empty_like(out[0])
-    for row, (fx, fy, fz) in zip(out, ((0, 1, 2), (1, 3, 4), (2, 4, None))):
-        np.multiply(kx, f[fx], out=row)
-        row += np.multiply(ky, f[fy], out=term)
-        if fz is not None:
-            row += np.multiply(kz, f[fz], out=term)
+    if out is None:
+        out = np.empty(spec.shape[:-3] + (2 * kc - 1, 2 * kc - 1, kc), dtype=np.complex128)
+    # per axis the band holds the rows 0, ..., kc - 1 and N - kc + 1, ..., N - 1
+    rows = ((slice(None, kc), slice(None, kc)), (slice(kc, None), slice(n - kc + 1, None)))
+    for bx, sx in rows:
+        for by, sy in rows:
+            out[..., bx, by, :] = spec[..., sx, sy, :]
     return out
 
 
-def convection_band(flux, grid):
-    """Dealias band of the spectrum of (u . grad) u - grad(u_z^2),
-    given Basdevant's flux (:func:`_kernels.convective_product`) of a
-    band-limited u.  Callers must Leray-project it: the projection removes
-    the gradient and leaves P[(u . grad) u].
+def flux_contraction(band, grid, speed=False):
+    """k_i F_ij on the band, where F is Basdevant's flux
+    (:func:`_kernels.convective_product`) of the band velocity u: the
+    dealias band of the spectrum of (u . grad) u - grad(u_z^2), divided
+    by i.  Callers must Leray-project it: the projection removes the
+    gradient and leaves P[(u . grad) u] / i.
 
     Uses the divergence form  sum_i d F_ij / d x_i = i k_i F_ij  of the
     flux F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the
-    5 forward real 3-D transforms of F, pruned to the band, after the 3
-    inverse ones of :func:`band_to_physical` that give u.  The 2/3 rule
-    makes the retained modes of each product alias-free.
+    3 inverse real 3-D transforms of u and the 5 forward ones of F, pruned
+    to the band, in the buffers of :meth:`WaveGrid.workspace`.  The 2/3
+    rule makes the retained modes of each product alias-free.  The sum is
+    accumulated in place, in the order (k_x F_xj + k_y F_yj) + k_z F_zj.
+    With ``speed``, returns ``(out, max |u|)``: the largest velocity
+    component on the collocation grid.
     """
-    out = flux_contraction(flux, grid)
-    out *= 1j
-    return out
+    with grid.workspace() as (spread, u, flux, spec, f):
+        band_to_physical(band, grid, spread=spread, out=u)
+        if speed:
+            top = float(max(u.max(), -u.min()))
+        _kernels.convective_product(u, out=flux)
+        physical_to_band(flux, grid, spec=spec, out=f)
+        kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
+        out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
+        term = np.empty_like(out[0])
+        for row, (fx, fy, fz) in zip(out, ((0, 1, 2), (1, 3, 4), (2, 4, None))):
+            np.multiply(kx, f[fx], out=row)
+            row += np.multiply(ky, f[fy], out=term)
+            if fz is not None:
+                row += np.multiply(kz, f[fz], out=term)
+    return (out, top) if speed else out
 
 
 def to_band(coefficients, grid):
@@ -482,8 +549,8 @@ def nonlinear_term(u):
     divergence-free in-band w.
     """
     grid = u.grid
-    u_phys = band_to_physical(to_band(u.coefficients, grid), grid)
-    ghat = convection_band(_kernels.convective_product(u_phys), grid)
+    ghat = flux_contraction(to_band(u.coefficients, grid), grid)
+    ghat *= 1j
     _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
     return SpectralVelocity(grid, from_band(ghat, grid))
 
@@ -502,24 +569,29 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     if amplitude == 0.0:
         return SpectralVelocity(grid, np.zeros((3, n, n, n), dtype=np.complex128))
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3, n, n, n))
-    raw = from_physical(grid, noise)
-    sol = leray_project(raw, grid).coefficients.copy()
+    # one buffer: the spectrum of the noise is divided by N^3, projected,
+    # shaped and scaled in place, each step as from_physical, leray_project
+    # and the out-of-place arithmetic would do it
+    c = fftn(rng.standard_normal((3, n, n, n)), axes=(-3, -2, -1))
+    c /= grid.n_modes
+    _kernels.leray_project_modes(c, grid.kx, grid.kx, grid.kx)
 
     band = grid.dealias_mask & (grid.ksq_int > 0)
+    mode_mag = _kernels.squared_modulus(c)
+    np.sqrt(mode_mag, out=mode_mag)
+    mode_mag[~(mode_mag > 0.0)] = 1.0
     target = np.zeros_like(grid.ksq)
-    mode_mag = np.sqrt((sol.real**2 + sol.imag**2).sum(axis=0))
-    safe = np.where(mode_mag > 0.0, mode_mag, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
         target[band] = grid.ksq[band] ** (energy_spectrum_slope / 4.0)
-        shaped = sol * (target / safe)
-        norm = sobolev_norm(SpectralVelocity(grid, np.ascontiguousarray(shaped)), 0)
+        target /= mode_mag
+        c *= target
+        # on a view: SpectralVelocity marks its array read-only, and c is scaled below
+        norm = sobolev_norm(SpectralVelocity(grid, c.view()), 0)
     if not (norm > 0.0 and np.isfinite(norm)):
         raise ConfigurationError(f"random field with spectrum slope {energy_spectrum_slope} "
                                  f"has L2 norm {norm}; change the seed or the slope")
-    return SpectralVelocity(
-        grid, np.ascontiguousarray(shaped * (amplitude / norm))
-    )
+    c *= amplitude / norm
+    return SpectralVelocity(grid, c)
 
 
 def shear_field(grid, amplitude=1.0):

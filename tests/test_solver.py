@@ -1,6 +1,10 @@
 """Tests for the integrating-factor time stepper and trace machinery."""
 
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from nsreg import (
     kolmogorov_forcing,
     leray_project,
     make_wavegrid,
+    nonlinear_term,
     random_divfree_field,
     shear_field,
     simulate,
@@ -250,6 +255,84 @@ def test_cfl_steps_equal_a_loop_with_the_physical_speed(grid16, integrator, seed
         times.append(t)
     assert np.diff(res.trace.t)[:-1].min() < cfg.dt  # the cap bites
     assert np.array_equal(res.trace.t, times)
+
+
+def test_rhs_and_random_field_allocate_no_full_grid_temporaries():
+    # after a warm step the right-hand side transforms in the grid's
+    # workspace, so its peak is a few band arrays (13 when each call
+    # allocates its transform arrays); the random field is built in its
+    # output buffer (5x its output with a temporary per operation)
+    g = make_wavegrid(32)
+    band = to_band(random_divfree_field(g, 1).coefficients, g)
+    stepper = _Stepper(g, ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1.0))
+    stepper.step(band, 0.0, 1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stepper.rhs(band, 0.0)
+        rhs_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        field = random_divfree_field(g, 2)
+        field_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rhs_peak <= 5 * band.nbytes
+    assert field_peak <= 2.5 * field.coefficients.nbytes
+
+
+def test_steppers_and_threads_sharing_a_grid_match_sequential_runs():
+    # the workspace is lent per call: interleaved steppers, a call that
+    # finds it lent and concurrent runs all give the results they give alone
+    g = make_wavegrid(16)
+    rk4 = SolverConfig(nu=0.1, dt=1e-2, t_end=0.2)
+    rk2 = SolverConfig(nu=0.5, dt=2e-2, t_end=0.2, integrator="if_rk2", cfl=0.5)
+    a, b = (to_band(random_divfree_field(g, s, -2.0, 4.0).coefficients, g) for s in (1, 2))
+    u = random_divfree_field(g, 3)
+    want_nl = nonlinear_term(u).coefficients
+
+    def steps(stepper, c, count):
+        out = []
+        for k in range(count):
+            c, _ = stepper.step(c, k * 1e-2, 1e-2)
+            out.append(c)
+        return out
+
+    want_a = steps(_Stepper(g, ForcingSpec.zero(), rk4), a, 3)
+    want_b = steps(_Stepper(g, kolmogorov_forcing(g, 5.0), rk2), b, 3)
+    sa, sb = _Stepper(g, ForcingSpec.zero(), rk4), _Stepper(g, kolmogorov_forcing(g, 5.0), rk2)
+    for k in range(3):
+        a, _ = sa.step(a, k * 1e-2, 1e-2)
+        assert np.array_equal(nonlinear_term(u).coefficients, want_nl)
+        b, _ = sb.step(b, k * 1e-2, 1e-2)
+        assert np.array_equal(a, want_a[k]) and np.array_equal(b, want_b[k])
+    with g.workspace():  # lent: the call gets buffers of its own
+        assert np.array_equal(nonlinear_term(u).coefficients, want_nl)
+    assert pickle.loads(pickle.dumps(g)) == g
+
+    runs = [(random_divfree_field(g, 10 + i, -2.0, 4.0), cfg)
+            for i, cfg in enumerate((rk4, rk2, rk4, rk2))]
+    forcing = kolmogorov_forcing(g, 5.0)
+    want = [simulate(u0, forcing, cfg) for u0, cfg in runs]
+    got = [None] * len(runs)
+
+    def run(i):
+        got[i] = simulate(runs[i][0], forcing, runs[i][1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for w, r in zip(want, got):
+        assert r.trace.to_csv() == w.trace.to_csv()
+        assert np.array_equal(r.final_state.coefficients, w.final_state.coefficients)
 
 
 def test_step_rejects_nonpositive_dt(grid8):

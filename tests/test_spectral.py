@@ -29,8 +29,8 @@ from nsreg import _kernels
 from nsreg.solver import ForcingSpec, SolverConfig, _Stepper
 from nsreg.spectral import (
     band_to_physical,
-    convection_band,
     field_with_norms,
+    flux_contraction,
     from_band,
     hermitian_adjoint,
     hermitian_defect,
@@ -174,19 +174,25 @@ def test_band_transforms_use_returned_arrays(n):
 
 
 def test_stepper_rhs_makes_four_fft_calls(monkeypatch, grid16):
-    # one 2-D pass and one z pass each way, whatever the field
+    # one 2-D pass and one z pass each way, whatever the field: the x-y
+    # passes on scipy.fft, the z passes on numpy.fft, which writes into the
+    # grid's workspace (scipy.fft has no out= for r2c and c2r)
+    import scipy.fft
+
     import nsreg.spectral
 
+    assert (nsreg.spectral.fftn, nsreg.spectral.ifftn) == (scipy.fft.fftn, scipy.fft.ifftn)
+    assert (nsreg.spectral.rfftn, nsreg.spectral.irfftn) == (np.fft.rfftn, np.fft.irfftn)
     band = to_band(random_divfree_field(grid16, 4).coefficients, grid16)
     stepper = _Stepper(grid16, ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3))
     calls = []
     for name in ("fftn", "ifftn", "irfftn", "rfftn"):
         def counted(*args, _fn=getattr(nsreg.spectral, name), _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, "out" in kwargs))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(nsreg.spectral, name, counted)
     stepper.rhs(band, 0.0)
-    assert sorted(calls) == ["fftn", "ifftn", "irfftn", "rfftn"]
+    assert sorted(calls) == [("fftn", False), ("ifftn", False), ("irfftn", True), ("rfftn", True)]
 
 
 # ---------------------------------------------------------- leray projection
@@ -426,7 +432,8 @@ def test_five_component_flux_projects_to_six_product_convection(n):
     from scipy.fft import rfftn
 
     g = make_wavegrid(n)
-    u = band_to_physical(to_band(random_divfree_field(g, n, -2.0, 3.0).coefficients, g), g)
+    band = to_band(random_divfree_field(g, n, -2.0, 3.0).coefficients, g)
+    u = band_to_physical(band, g)
     kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
 
     def band_spectrum(samples):
@@ -438,7 +445,7 @@ def test_five_component_flux_projects_to_six_product_convection(n):
         for j in range(i, 3):
             f[i, j] = f[j, i] = band_spectrum(u[i] * u[j])
     six = 1j * np.stack([kx * f[0, j] + ky * f[1, j] + kz * f[2, j] for j in range(3)])
-    five = convection_band(_kernels.convective_product(u), g)
+    five = 1j * flux_contraction(band, g)
 
     # the two differ by the pure gradient grad(u_z^2), which the projection removes
     grad = 1j * np.stack(np.broadcast_arrays(kx, ky, kz)) * band_spectrum(u[2] * u[2])
