@@ -24,7 +24,7 @@ in two FFT calls each, with the x-y passes restricted to the kz planes
 that the 2/3 rule keeps.  The fused 2-D x-y passes run on ``scipy.fft``.
 The z passes run on ``numpy.fft``, whose r2c and c2r transforms take
 ``out=``, so the stepper writes them into the grid's transform workspace
-(:meth:`WaveGrid.workspace`); both libraries run the same pocketfft
+(:meth:`WaveGrid.take_workspace`); both libraries run the same pocketfft
 kernels, and the z passes are bit for bit those of ``scipy.fft``.
 """
 
@@ -32,7 +32,6 @@ import json
 import math
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -54,7 +53,7 @@ class WaveGrid:
 
     Integer wavenumbers per axis are a bijection with [-N/2, N/2); physical
     wavevectors are scaled by 2*pi/length.  The grid also lends the
-    transform workspace of the stepper (:meth:`workspace`).
+    transform workspace of the stepper (:meth:`take_workspace`).
     """
 
     def __init__(self, n, length=TWO_PI):
@@ -123,10 +122,10 @@ class WaveGrid:
         self._idle_workspace = None  # made on first use, kept while the grid lives
         self._workspace_lock = threading.Lock()
 
-    @contextmanager
-    def workspace(self):
-        """Lend the arrays of the convection transforms, views on two byte
-        buffers X and Y: ``(spread, u, flux, spec, fband)``.
+    def take_workspace(self):
+        """Borrow the arrays of the convection transforms, views on two byte
+        buffers X and Y: ``(spread, u, flux, spec, fband)``.  Hand them back
+        with :meth:`give_back_workspace`.
 
         X holds ``spread``, the zero-padded half spectrum of the velocity,
         then ``flux``, Basdevant's five-component flux, then ``fband``, the
@@ -136,18 +135,17 @@ class WaveGrid:
         The buffers are made on first use and kept for the next caller, so
         a time step allocates no full-grid array.  A caller that finds them
         lent (to another thread, or further up its own stack) gets new
-        buffers for the block.  Contents are undefined on entry.
+        buffers.  Contents are undefined.
         """
         with self._workspace_lock:
             work, self._idle_workspace = self._idle_workspace, None
-        if work is None:
-            work = self._new_workspace()
-        try:
-            yield work
-        finally:
-            with self._workspace_lock:
-                if self._idle_workspace is None:
-                    self._idle_workspace = work
+        return self._new_workspace() if work is None else work
+
+    def give_back_workspace(self, work):
+        """Keep ``work`` for the next caller, unless another one is kept."""
+        with self._workspace_lock:
+            if self._idle_workspace is None:
+                self._idle_workspace = work
 
     def _new_workspace(self):
         n, half, kc = self.n, self.n // 2 + 1, self.kc
@@ -232,7 +230,9 @@ class SpectralVelocity:
         the default tolerance 1e-12 * max |uhat|.
         """
         c = self.coefficients
-        peak = max(float(np.abs(comp).max()) for comp in c)  # no temporary of all three
+        # one component at a time, without a temporary of all three; np.max,
+        # unlike the builtin max, keeps a NaN of any component
+        peak = float(np.max([np.abs(comp).max() for comp in c]))
         if not np.isfinite(peak):
             raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
@@ -434,7 +434,7 @@ def trilinear_b(u, v, w):
     return float((conv * w_phys).sum() * grid.cell_volume)
 
 
-def band_to_physical(band, grid, spread=None, out=None):
+def band_to_physical(band, grid, spread, out):
     """Collocation samples of a field given by its dealias band.
 
     Equal to ``irfftn`` of the zero-padded half spectrum, with the same
@@ -443,14 +443,12 @@ def band_to_physical(band, grid, spread=None, out=None):
     pass runs over the N * kc x lines and N * kc y lines with a retained
     kz, and the c2r pass over the N * N z lines gets all N/2 + 1 planes,
     so nothing is padded.  ``spread`` (complex, shape (..., N, N, N/2 + 1))
-    and ``out`` (float, shape (..., N, N, N)) are buffers to use instead of
-    new arrays; ``spread`` is overwritten.
+    is the buffer of the half spectrum, overwritten, and ``out`` (float,
+    shape (..., N, N, N)) the one of the samples, returned; the stepper
+    lends both from :meth:`WaveGrid.take_workspace`.
     """
-    n, kc, index = grid.n, grid.kc, grid.band_index
-    if spread is None:
-        spread = np.zeros(band.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
-    else:
-        spread.fill(0.0)
+    kc, index = grid.kc, grid.band_index
+    spread.fill(0.0)
     spread[..., index[:, None], index, :kc] = band
     low = spread[..., :kc]
     done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True)
@@ -459,7 +457,7 @@ def band_to_physical(band, grid, spread=None, out=None):
     return irfftn(spread, axes=(-1,), norm="forward", out=out)
 
 
-def physical_to_band(samples, grid, spec=None, out=None):
+def physical_to_band(samples, grid, spec, out):
     """Dealias band of the spectrum of real collocation samples.
 
     Equal to ``rfftn`` followed by the band gather, with the same axis
@@ -474,8 +472,6 @@ def physical_to_band(samples, grid, spec=None, out=None):
     n, kc = grid.n, grid.kc
     spec = rfftn(samples, axes=(-1,), norm="forward", out=spec)[..., :kc]
     spec = fftn(spec, axes=(-3, -2), norm="forward", overwrite_x=True)
-    if out is None:
-        out = np.empty(spec.shape[:-3] + (2 * kc - 1, 2 * kc - 1, kc), dtype=np.complex128)
     # per axis the band holds the rows 0, ..., kc - 1 and N - kc + 1, ..., N - 1
     rows = ((slice(None, kc), slice(None, kc)), (slice(kc, None), slice(n - kc + 1, None)))
     for bx, sx in rows:
@@ -494,18 +490,19 @@ def flux_contraction(band, grid, speed=False):
     Uses the divergence form  sum_i d F_ij / d x_i = i k_i F_ij  of the
     flux F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the
     3 inverse real 3-D transforms of u and the 5 forward ones of F, pruned
-    to the band, in the buffers of :meth:`WaveGrid.workspace`.  The 2/3
+    to the band, in the buffers of :meth:`WaveGrid.take_workspace`.  The 2/3
     rule makes the retained modes of each product alias-free.  The sum is
     accumulated in place, in the order (k_x F_xj + k_y F_yj) + k_z F_zj.
     With ``speed``, returns ``(out, max |u|)``: the largest velocity
     component on the collocation grid.
     """
-    with grid.workspace() as (spread, u, flux, spec, f):
-        band_to_physical(band, grid, spread=spread, out=u)
+    spread, u, flux, spec, f = work = grid.take_workspace()
+    try:
+        band_to_physical(band, grid, spread, u)
         if speed:
             top = float(max(u.max(), -u.min()))
         _kernels.convective_product(u, out=flux)
-        physical_to_band(flux, grid, spec=spec, out=f)
+        physical_to_band(flux, grid, spec, f)
         kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
         out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
         term = np.empty_like(out[0])
@@ -514,6 +511,8 @@ def flux_contraction(band, grid, speed=False):
             row += np.multiply(ky, f[fy], out=term)
             if fz is not None:
                 row += np.multiply(kz, f[fz], out=term)
+    finally:
+        grid.give_back_workspace(work)
     return (out, top) if speed else out
 
 

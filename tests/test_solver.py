@@ -306,8 +306,9 @@ def test_steppers_and_threads_sharing_a_grid_match_sequential_runs():
         assert np.array_equal(nonlinear_term(u).coefficients, want_nl)
         b, _ = sb.step(b, k * 1e-2, 1e-2)
         assert np.array_equal(a, want_a[k]) and np.array_equal(b, want_b[k])
-    with g.workspace():  # lent: the call gets buffers of its own
-        assert np.array_equal(nonlinear_term(u).coefficients, want_nl)
+    held = g.take_workspace()  # lent: the call gets buffers of its own
+    assert np.array_equal(nonlinear_term(u).coefficients, want_nl)
+    g.give_back_workspace(held)
     assert pickle.loads(pickle.dumps(g)) == g
 
     runs = [(random_divfree_field(g, 10 + i, -2.0, 4.0), cfg)

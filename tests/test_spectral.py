@@ -109,6 +109,22 @@ def _half_with_energy_everywhere(g, seed):
     return (0.5 * (full + hermitian_adjoint(full)))[..., : g.n // 2 + 1]
 
 
+def _to_physical(band, g):
+    """band_to_physical into NaN-filled buffers, so every value it returns
+    was written by the call, as in a reused workspace."""
+    lead, n = band.shape[:-3], g.n
+    spread = np.full(lead + (n, n, n // 2 + 1), np.nan, dtype=np.complex128)
+    return band_to_physical(band, g, spread, np.full(lead + (n, n, n), np.nan))
+
+
+def _to_band(samples, g):
+    """physical_to_band into NaN-filled buffers (see _to_physical)."""
+    lead, n, b = samples.shape[:-3], g.n, 2 * g.kc - 1
+    spec = np.full(lead + (n, n, n // 2 + 1), np.nan, dtype=np.complex128)
+    return physical_to_band(samples, g, spec,
+                            np.full(lead + (b, b, g.kc), np.nan, dtype=np.complex128))
+
+
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_band_transforms_match_full_transforms(n):
     g = make_wavegrid(n)
@@ -118,13 +134,13 @@ def test_band_transforms_match_full_transforms(n):
     assert np.array_equal(padded, half * g.dealias_mask[..., : n // 2 + 1])
 
     samples = np.fft.irfftn(padded, s=(n, n, n), axes=(-3, -2, -1)) * g.n_modes
-    got = band_to_physical(band, g)
+    got = _to_physical(band, g)
     assert got.shape == samples.shape
     assert np.allclose(got, samples, rtol=0.0, atol=1e-14 * np.abs(samples).max())
 
     products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
     want = to_band(np.fft.rfftn(products, axes=(-3, -2, -1)) / g.n_modes, g)
-    got = physical_to_band(products, g)
+    got = _to_band(products, g)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
@@ -138,9 +154,30 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     band = to_band(half, g)
     samples = irfftn(half * g.dealias_mask[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
                      norm="forward")
-    assert np.array_equal(band_to_physical(band, g), samples)
+    assert np.array_equal(_to_physical(band, g), samples)
     full = rfftn(samples, axes=(-3, -2, -1), norm="forward")
-    assert np.array_equal(physical_to_band(samples, g), to_band(full, g))
+    assert np.array_equal(_to_band(samples, g), to_band(full, g))
+    for _ in range(2):  # in the grid's workspace, as the stepper calls them, stale on reuse
+        spread, u, flux, spec, f = work = g.take_workspace()
+        assert np.array_equal(band_to_physical(band, g, spread, u), samples)
+        flux[:3] = samples
+        assert np.array_equal(physical_to_band(flux[:3], g, spec[:3], f[:3]), to_band(full, g))
+        g.give_back_workspace(work)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
+def test_numpy_z_passes_equal_scipy_bitwise(n):
+    # the z passes run on numpy.fft for its out=; the results stay those of
+    # scipy.fft only while both libraries give the same bits
+    import scipy.fft
+
+    x = np.random.default_rng(n).standard_normal((5, n, n, n))
+    spec = np.empty((5, n, n, n // 2 + 1), dtype=np.complex128)
+    assert np.fft.rfftn(x, axes=(-1,), norm="forward", out=spec) is spec
+    assert np.array_equal(spec, scipy.fft.rfftn(x, axes=(-1,), norm="forward"))
+    back = np.empty_like(x)
+    assert np.fft.irfftn(spec, axes=(-1,), norm="forward", out=back) is back
+    assert np.array_equal(back, scipy.fft.irfftn(spec, axes=(-1,), norm="forward"))
 
 
 class _NumpyFFTBackend:
@@ -163,12 +200,12 @@ def test_band_transforms_use_returned_arrays(n):
 
     g = make_wavegrid(n)
     band = to_band(_half_with_energy_everywhere(g, n + 2), g)
-    samples = band_to_physical(band, g)
+    samples = _to_physical(band, g)
     products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
-    want_band = physical_to_band(products, g)
+    want_band = _to_band(products, g)
     with scipy.fft.set_backend(_NumpyFFTBackend, only=True):
-        got_samples = band_to_physical(band, g)
-        got_band = physical_to_band(products, g)
+        got_samples = _to_physical(band, g)
+        got_band = _to_band(products, g)
     for got, want in ((got_samples, samples), (got_band, want_band)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -433,7 +470,7 @@ def test_five_component_flux_projects_to_six_product_convection(n):
 
     g = make_wavegrid(n)
     band = to_band(random_divfree_field(g, n, -2.0, 3.0).coefficients, g)
-    u = band_to_physical(band, g)
+    u = _to_physical(band, g)
     kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
 
     def band_spectrum(samples):
@@ -524,10 +561,15 @@ def test_random_field_rejects_slope_with_non_finite_norm(grid8, slope):
 
 
 def test_validate_rejects_nan_mode(grid8):
-    c = random_divfree_field(grid8, 3, -2.0, 1.0).coefficients.copy()
-    c[0, 1, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        SpectralVelocity(grid8, c).validate()
+    # the peak is taken per component: a NaN in any of them must survive
+    # the maximum, whether the other components are finite or zero
+    field = random_divfree_field(grid8, 3, -2.0, 1.0).coefficients
+    for others in (field, np.zeros_like(field)):
+        for comp in range(3):
+            c = others.copy()
+            c[comp, 1, 0, 0] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                SpectralVelocity(grid8, c).validate()
 
 
 def test_field_with_norms_hits_targets(grid16):
