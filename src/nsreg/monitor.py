@@ -22,6 +22,7 @@ fails closed: a NaN or infinite residual, or a NaN tolerance, is a
 violation.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,8 @@ from .solver import energy_balance_residual
 SAFETY = 4.0
 #: largest default relative tolerance of the solver diagnostic
 SOLVER_REL_TOL_CAP = 0.05
+#: slack past a bound's horizon, in ulps of the horizon, for end-of-run rounding
+HORIZON_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -161,18 +164,26 @@ def check_energy_inequality(trace, ledger, tol=None):
 
 
 def check_bound_dominance(trace, report, rel_tol=1e-6):
-    """Verify h1_sq(t_i) <= bound(t_i) * (1 + rel_tol) along the trace.
+    """Verify h1_sq(t_i) <= bound(t_i) * (1 + rel_tol) on the samples inside
+    the window the bound certifies.
 
-    ``report`` must be a satisfied criterion report; sample times are
-    clamped to the bound's horizon to absorb end-of-run roundoff.
+    ``report`` must be a satisfied criterion report.  Samples after the
+    bound's horizon are not checked: the bound says nothing there.  A
+    sample within :data:`HORIZON_ULPS` ulps past the horizon is the run's
+    end landing on it with rounding, and is checked at the horizon.  A
+    trace with no sample in the window raises :class:`GridMismatchError`.
     """
     if report.bound is None or not report.satisfied:
         raise ValueError("bound dominance requires a satisfied criterion report")
     curve = report.bound
-    ts = np.minimum(trace.t, curve.horizon)
-    values = np.asarray(curve.evaluate(ts), dtype=float)
-    excess = trace.h1_sq - values * (1.0 + rel_tol)
-    return _check(f"bound_dominance[{curve.kind}]", trace.t, excess, 0.0,
+    inside = trace.t <= curve.horizon + HORIZON_ULPS * math.ulp(curve.horizon)
+    if not inside.any():
+        raise GridMismatchError("bound dominance needs a trace sample inside the bound's "
+                                f"window, which ends at t = {curve.horizon:g}")
+    t = trace.t[inside]
+    values = np.asarray(curve.evaluate(np.minimum(t, curve.horizon)), dtype=float)
+    excess = trace.h1_sq[inside] - values * (1.0 + rel_tol)
+    return _check(f"bound_dominance[{curve.kind}]", t, excess, 0.0,
                   excess.max(), rel_tol)
 
 

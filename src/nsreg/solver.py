@@ -194,14 +194,37 @@ class NormTrace:
                    int_f_sq=data[:, 6], nu=nu)
 
 
-@dataclass(frozen=True)
 class SimulationResult:
-    trace: NormTrace
-    final_state: SpectralVelocity
-    termination: str  # "completed" | "blowup"
-    blowup_time: Optional[float]
-    blowup_reason: Optional[str]
-    wall_time_s: float
+    """Outcome of one run: its norm trace, how it ended (``termination`` is
+    "completed" or "blowup") and its final state.
+
+    ``final_state`` is the public field at the last accepted time.  A
+    caller may pass it in.  :func:`simulate` passes ``band_state`` instead,
+    the arguments (grid, band, rest, nu, t) of :func:`_field`: the field is
+    built on first read and cached, so a run whose caller reads only the
+    trace never allocates it, and every read returns the same object.
+    """
+
+    def __init__(self, trace, final_state, termination, blowup_time, blowup_reason,
+                 wall_time_s, *, band_state=None):
+        if (final_state is None) == (band_state is None):
+            raise TypeError("give exactly one of final_state and band_state")
+        self.trace = trace
+        self.termination = termination
+        self.blowup_time = blowup_time
+        self.blowup_reason = blowup_reason
+        self.wall_time_s = wall_time_s
+        self._band_state = band_state
+        if final_state is not None:
+            self._final_state = final_state
+
+    @property
+    def final_state(self):
+        field = self.__dict__.get("_final_state")
+        if field is None:
+            # setdefault is atomic: threads racing to build it all get the first one stored
+            field = self.__dict__.setdefault("_final_state", _field(*self._band_state))
+        return field
 
 
 class _Stepper:
@@ -451,7 +474,7 @@ def simulate(u0, forcing, config):
         c = new
         t = t_new
         samples.append(row)
-    final_state = _field(grid, c, rest, config.nu, t)
+    band_state = (grid, c, rest, config.nu, t)  # the final state, built when read
 
     t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = np.array(samples).T
 
@@ -463,7 +486,8 @@ def simulate(u0, forcing, config):
                       int_f_sq=running_integral(f_sq), nu=config.nu)
     return SimulationResult(
         trace=trace,
-        final_state=final_state,
+        final_state=None,
+        band_state=band_state,
         termination=termination,
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,

@@ -288,18 +288,19 @@ def hermitian_defect(arr):
     so its modulus is the same in IEEE arithmetic, and the half kz >= 0
     holds the maximum.  Along x and y index 0 pairs with itself and
     1, ..., N-1 with N-1, ..., 1; along z, 1, ..., N/2 pairs with
-    N-1, ..., N/2.  The 8 block pairs are views.
+    N-1, ..., N/2.  The 8 block pairs are views.  A NaN coefficient gives
+    NaN: the block maxima are folded with ``np.max``, which keeps it.
     """
     n = arr.shape[-1]
     xy = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
     z = ((slice(0, 1), slice(0, 1)), (slice(1, n // 2 + 1), slice(n - 1, n // 2 - 1, -1)))
-    worst = 0.0
-    for x, mx in xy:
-        for y, my in xy:
-            for kz, mz in z:
-                d = arr[..., x, y, kz] - np.conj(arr[..., mx, my, mz])
-                worst = max(worst, float(np.abs(d).max()))
-    return worst
+    block_maxima = [
+        np.abs(arr[..., x, y, kz] - np.conj(arr[..., mx, my, mz])).max()
+        for x, mx in xy
+        for y, my in xy
+        for kz, mz in z
+    ]
+    return float(np.max(block_maxima))
 
 
 def to_physical(u):

@@ -1,11 +1,22 @@
 """Tests for the empirical embedding-constant calibration."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.fft import ifftn
 
-from nsreg import ConfigurationError, make_wavegrid, shear_field
+from nsreg import (
+    ConfigurationError,
+    SpectralVelocity,
+    make_wavegrid,
+    random_divfree_field,
+    shear_field,
+    sobolev_norm,
+)
 from nsreg.calibrate import calibrate_constants, embedding_ratios
+from nsreg.spectral import hermitian_adjoint
 
 
 # closed forms for u = a (sin y, 0, 0):
@@ -44,8 +55,6 @@ def test_ratios_reject_bad_oversample():
 
 def test_single_member_ensemble_equals_field_ratio():
     grid = make_wavegrid(16)
-    from nsreg import random_divfree_field
-
     u = random_divfree_field(grid, 3, -2.0, 1.0)
     direct = embedding_ratios(u, oversample=4)
     result = calibrate_constants(grid, 1, seed=3, oversample=4)
@@ -85,3 +94,67 @@ def test_calibration_json_dict():
     assert set(payload) == {"n_ensemble", "empirical_lower_bounds",
                             "argmax_seeds", "defaults", "warnings"}
     assert payload["n_ensemble"] == 2
+
+
+# ------------------------------------------- quadrature against the padded-copy formula
+
+def _padded_samples(comp_hat, n, m):
+    """Fine-grid samples by shifting, zero padding and shifting back."""
+    padded = np.zeros((m, m, m), dtype=np.complex128)
+    lo = (m - n) // 2
+    padded[lo : lo + n, lo : lo + n, lo : lo + n] = np.fft.fftshift(comp_hat)
+    return np.real(ifftn(np.fft.ifftshift(padded), axes=(-3, -2, -1)) * m**3)
+
+
+def _oracle_ratios(u, oversample):
+    grid = u.grid
+    n, m = grid.n, oversample * grid.n
+    cell = (grid.length / m) ** 3
+    speed_sq = np.zeros((m, m, m))
+    gradmag_sq = np.zeros((m, m, m))
+    axes_k = (grid.kx[:, None, None], grid.kx[None, :, None], grid.kx[None, None, :])
+    for j in range(3):
+        comp = _padded_samples(u.coefficients[j], n, m)
+        speed_sq += comp * comp
+        for i in range(3):
+            d = _padded_samples(1j * axes_k[i] * u.coefficients[j], n, m)
+            gradmag_sq += d * d
+    l6 = (float((speed_sq**3).sum()) * cell) ** (1.0 / 6.0)
+    l3 = (float((gradmag_sq**1.5).sum()) * cell) ** (1.0 / 3.0)
+    grad_l2, lap_l2 = sobolev_norm(u, 1), sobolev_norm(u, 2)
+    return l6 / grad_l2, l3 / np.sqrt(grad_l2 * lap_l2)
+
+
+def _field_with_nyquist(n, seed=7):
+    """A Hermitian field with content in every mode, the Nyquist planes included
+    (zero mean, not divergence-free: the quadrature does not need it)."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+    c = 0.5 * (c + hermitian_adjoint(c))
+    c[:, 0, 0, 0] = 0.0
+    assert np.all(np.abs(c[:, n // 2]) > 0)  # Nyquist content
+    return SpectralVelocity(make_wavegrid(n), c)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("oversample", [2, 3, 4])
+def test_ratios_bitwise_equal_padded_copy_formula(n, oversample):
+    u = _field_with_nyquist(n)
+    ratios = embedding_ratios(u, oversample=oversample)
+    l6, l3 = _oracle_ratios(u, oversample)
+    assert ratios.l6_over_grad.hex() == float(l6).hex()
+    assert ratios.l3_over_interp.hex() == float(l3).hex()
+
+
+def test_ratios_allocate_at_most_three_fine_spectra():
+    u = random_divfree_field(make_wavegrid(16), 3, -2.0, 1.0)
+    embedding_ratios(u, oversample=4)  # warm: first-call caches of the FFT library
+    fine_spectrum = 16 * 64**3
+    tracemalloc.start()
+    try:
+        embedding_ratios(u, oversample=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one complex spectrum plus the real samples and accumulator: 2 spectra
+    assert peak <= 3 * fine_spectrum, peak / fine_spectrum

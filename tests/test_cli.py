@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -319,6 +320,18 @@ def test_monitor_with_certified_report(tmp_path, capsys):
                 "--report", rep_dir / "report.json", "--out", mon_out]) == EXIT_OK
     names = [c["name"] for c in read_json(mon_out / "report.json")["checks"]]
     assert any(n.startswith("bound_dominance") for n in names)
+
+
+def test_monitor_trace_outside_the_certified_window(tmp_path, capsys):
+    rep_dir = tmp_path / "rep"
+    assert run(["bounds", "--steady", "--T", "0.1", "--f", "0.01", "--l2", "0.05",
+                "--h1sq", "0.0025", "--out", rep_dir]) == EXIT_OK
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,l2_sq,h1_sq,h2_sq,f_dot_u,int_h1_sq,int_f_sq,residual\n"
+                     + "".join(f"{t},0.0025,0.0025,0.0025,0,0,0,0\n" for t in (0.5, 0.6, 0.7)))
+    code = run(["monitor", "--trace", trace, "--report", rep_dir / "report.json"])
+    assert code == EXIT_NORM_INCONSISTENT  # no sample to check: never a PASS
+    assert "window" in capsys.readouterr().err
 
 
 def test_monitor_violation_exit_code(tmp_path):
@@ -645,3 +658,28 @@ def test_entry_point_overflowing_initial_norms_is_usage_error(tmp_path):
         "nsreg: configuration error: initial field has overflowing squared norms: "
         "l2_sq=inf, h1_sq=inf, h2_sq=inf"]
     assert not out.exists()
+
+
+# ------------------------------------------------------------ README examples
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands():
+    """Lines of the ``sh`` block under README's "Command line" heading."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line and not line.startswith("#")]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) >= 5 and all(c.startswith("nsreg ") for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(shlex.split(command)[1:])
+        assert code == EXIT_OK, command
+    assert read_json(tmp_path / "runs" / "mon" / "report.json")["passed"]

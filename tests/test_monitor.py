@@ -1,14 +1,18 @@
 """Tests for the trajectory-verification checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nsreg import (
     CriterionInput,
     ForcingSpec,
+    GridMismatchError,
     NormTrace,
     SolverConfig,
     arctan_bound_free,
+    arctan_bound_steady,
     check_bound_dominance,
     check_energy_inequality,
     check_h1_inequality,
@@ -153,6 +157,46 @@ def test_dominance_detects_planted_violation(grid16, ledger):
     check = check_bound_dominance(bad, report)
     assert not check.passed
     assert check.first_violation_t == tr.t[0]
+
+
+def planted_trace(t, h1_sq):
+    zeros = np.zeros(len(t))
+    return NormTrace(t=np.asarray(t, float), l2_sq=zeros, h1_sq=np.asarray(h1_sq, float),
+                     h2_sq=zeros, f_dot_u=zeros, f_sq=zeros, int_h1_sq=zeros,
+                     int_f_sq=zeros, nu=1.0)
+
+
+@pytest.fixture(scope="module")
+def steady_report(ledger):
+    """A steady-force report certifying the window [0, 0.1]."""
+    report = arctan_bound_steady(0.1, CriterionInput(l2=0.05, h1_sq=0.0025, f_l2=0.01), ledger)
+    assert report.satisfied and report.bound.horizon == 0.1
+    return report
+
+
+def test_dominance_ignores_samples_after_the_window(steady_report):
+    t = np.linspace(0.0, 1.0, 11)
+    bound = steady_report.bound.evaluate(0.0)
+    h1_sq = np.where(t <= 0.1, 0.5 * bound, 2.0 * bound)
+    check = check_bound_dominance(planted_trace(t, h1_sq), steady_report)
+    assert check.passed
+    assert check.max_violation == pytest.approx(-0.5 * bound, rel=1e-5)
+
+
+@pytest.mark.parametrize("t_bad", [0.05, 0.1, math.nextafter(0.1, 1.0)])
+def test_dominance_flags_a_violation_inside_the_window(steady_report, t_bad):
+    # the last case is the run's end a rounding step past the horizon
+    t = np.array(sorted({0.0, 0.05, 0.1, t_bad, 0.5, 1.0}))
+    bound = steady_report.bound.evaluate(0.0)
+    h1_sq = np.where(t == t_bad, 2.0 * bound, 0.5 * bound)
+    check = check_bound_dominance(planted_trace(t, h1_sq), steady_report)
+    assert not check.passed
+    assert check.first_violation_t == t_bad
+
+
+def test_dominance_needs_a_sample_in_the_window(steady_report):
+    with pytest.raises(GridMismatchError, match="window"):
+        check_bound_dominance(planted_trace([0.5, 1.0], [0.0, 0.0]), steady_report)
 
 
 # ------------------------------------------------------------- full monitor

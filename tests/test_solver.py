@@ -14,6 +14,7 @@ from nsreg import (
     ConfigurationError,
     ForcingSpec,
     NormTrace,
+    SimulationResult,
     SolverConfig,
     SpectralVelocity,
     energy_balance_residual,
@@ -28,7 +29,7 @@ from nsreg import (
     sobolev_norm,
     step,
 )
-from nsreg import _kernels
+from nsreg import _kernels, solver
 from nsreg.errors import GridMismatchError, InvariantViolationError
 from nsreg.solver import _check_invariants, _sample, _Stepper
 from nsreg.spectral import from_physical, to_band
@@ -390,6 +391,71 @@ def test_final_state_exactly_hermitian(grid16):
     cfg = SolverConfig(nu=0.1, dt=5e-3, t_end=0.05)
     res = simulate(u0, kolmogorov_forcing(grid16, 1.0), cfg)
     res.final_state.validate(hermitian_tol=0.0)
+
+
+def test_final_state_is_built_when_first_read(grid16, monkeypatch):
+    u0 = random_divfree_field(grid16, 9, -2.0, 1.0)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=3e-3)
+    simulate(u0, ForcingSpec.zero(), cfg)  # warm: the grid's workspace
+    built = []
+    real_from_band = solver.from_band
+    monkeypatch.setattr(solver, "from_band", lambda *a, **k: built.append(1) or real_from_band(*a, **k))
+    tracemalloc.start()
+    try:
+        res = simulate(u0, ForcingSpec.zero(), cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        first = res.final_state
+        with_state = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    full_layout = u0.coefficients.nbytes
+    assert held < full_layout <= with_state - held
+    assert res.final_state is first and len(built) == 1
+
+
+def test_final_state_cached_and_equal_across_runs_on_one_grid():
+    g = make_wavegrid(16)
+    u0 = random_divfree_field(g, 9, -2.0, 4.0)
+    cfg = SolverConfig(nu=0.1, dt=5e-3, t_end=0.05)
+    forcing = kolmogorov_forcing(g, 1.0)
+    first, second = simulate(u0, forcing, cfg), simulate(u0, forcing, cfg)
+    want = first.final_state.coefficients  # read before and after other runs
+    simulate(random_divfree_field(g, 3, -2.0, 4.0), forcing, cfg)
+    assert np.array_equal(second.final_state.coefficients, want)
+    assert second.final_state is second.final_state
+
+    third = simulate(u0, forcing, cfg)
+    got = [None] * 8
+
+    def read(i):
+        got[i] = third.final_state
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(s is got[0] for s in got)
+    assert np.array_equal(got[0].coefficients, want)
+
+
+def test_simulation_result_takes_a_field_or_a_band_state(grid8):
+    trace = simulate(zero_field(grid8), ForcingSpec.zero(),
+                     SolverConfig(nu=1.0, dt=1e-2, t_end=2e-2)).trace
+    u = shear_field(grid8)
+    res = SimulationResult(trace=trace, final_state=u, termination="completed",
+                           blowup_time=None, blowup_reason=None, wall_time_s=0.0)
+    assert res.final_state is u
+    for final_state, band_state in ((None, None), (u, (grid8,))):
+        with pytest.raises(TypeError):
+            SimulationResult(trace, final_state, "completed", None, None, 0.0,
+                             band_state=band_state)
 
 
 # Final (l2_sq, h1_sq, h2_sq) of two N=16 runs, recorded with the

@@ -621,6 +621,18 @@ def test_hermitian_defect_equals_full_adjoint_defect(n):
     assert hermitian_defect(base) == float(np.abs(base - hermitian_adjoint(base)).max())
 
 
+@pytest.mark.parametrize("zero_base", [False, True])
+def test_hermitian_defect_keeps_a_nan(zero_base):
+    n = 8
+    g = make_wavegrid(n)
+    base = np.zeros((3, n, n, n), complex) if zero_base else random_divfree_field(g, 5).coefficients
+    for comp, site in enumerate(_plant_sites(n)):
+        c = np.array(base)
+        c[(comp % 3,) + site] = complex(np.nan, 0.0)
+        assert np.isnan(np.abs(c - hermitian_adjoint(c)).max())
+        assert np.isnan(hermitian_defect(c)), site
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_validate_rejects_planted_hermitian_defect(n):
     g = make_wavegrid(n)
