@@ -52,45 +52,59 @@ SYMBOL_MAP = {
 class ConstantLedger:
     """Every constant of the inequality chain, derived from (nu, lam1, C_S, C_I).
 
-    Identities maintained by :func:`derive_constants`:
-
-    - force_young        = 1 / (2 nu)
-    - convection_holder  = C_S * C_I
-    - cubic_coeff        = 27 * convection_holder^4 / (32 nu^3)
-    - energy_young       = 1 / (2 nu lam1)
-    - steady_init_coeff  = free_init_coeff = cubic_coeff / nu
-    - steady_force_coeff = timedep_force_coeff
-                         = force_young + 2 cubic_coeff energy_young / nu
-    - classical_free_coeff = cubic_coeff
-    - forced_rate_offset = cubic_coeff * nu^3
+    Only these four inputs are stored.  Every other constant is a property
+    computed from them, so the identities between them hold by construction;
+    constants that are equal are one property under two names.
     """
 
     nu: float
     lam1: float
     c_sobolev: float
     c_interp: float
-    force_young: float
-    convection_holder: float
-    cubic_coeff: float
-    energy_young: float
-    steady_force_coeff: float
-    steady_init_coeff: float
-    timedep_force_coeff: float
-    free_init_coeff: float
-    classical_free_coeff: float
-    forced_rate_offset: float
+
+    def __post_init__(self):
+        for name, val in vars(self).items():
+            if not (val > 0 and math.isfinite(val)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {val}")
+
+    @property
+    def force_young(self):
+        return 1.0 / (2.0 * self.nu)
+
+    @property
+    def convection_holder(self):
+        return self.c_sobolev * self.c_interp
+
+    @property
+    def cubic_coeff(self):
+        return 27.0 * self.convection_holder**4 / (32.0 * self.nu**3)
+
+    @property
+    def energy_young(self):
+        return 1.0 / (2.0 * self.nu * self.lam1)
+
+    @property
+    def steady_force_coeff(self):
+        return self.force_young + 2.0 * self.cubic_coeff * self.energy_young / self.nu
+
+    @property
+    def steady_init_coeff(self):
+        return self.cubic_coeff / self.nu
+
+    @property
+    def forced_rate_offset(self):
+        return self.cubic_coeff * self.nu**3
+
+    timedep_force_coeff = steady_force_coeff
+    free_init_coeff = steady_init_coeff
+    classical_free_coeff = cubic_coeff
 
     def forced_growth_rate(self, f_l2):
         """Growth rate K(|f|) = 2 |f|^2 / nu + forced_rate_offset / nu^3."""
         return 2.0 * f_l2**2 / self.nu + self.forced_rate_offset / self.nu**3
 
     def to_json_dict(self):
-        base = {
-            "nu": self.nu,
-            "lam1": self.lam1,
-            "c_sobolev": self.c_sobolev,
-            "c_interp": self.c_interp,
-        }
+        base = dict(vars(self))
         derived = {name: getattr(self, name) for name in set(SYMBOL_MAP.values())}
         aliases = {sym: getattr(self, name) for sym, name in SYMBOL_MAP.items()}
         return {**base, "derived": dict(sorted(derived.items())),
@@ -100,39 +114,21 @@ class ConstantLedger:
 def derive_constants(nu, lam1=1.0, c_sobolev=DEFAULT_C_SOBOLEV,
                      c_interp=DEFAULT_C_INTERP):
     """Build the ledger from viscosity, Poincare constant, and embeddings."""
-    for name, val in (("nu", nu), ("lam1", lam1),
-                      ("c_sobolev", c_sobolev), ("c_interp", c_interp)):
-        if not (val > 0 and math.isfinite(val)):
-            raise ConfigurationError(f"{name} must be positive and finite, got {val}")
-    c3 = 1.0 / (2.0 * nu)
-    c5 = c_sobolev * c_interp
-    c6 = 27.0 * c5**4 / (32.0 * nu**3)
-    c7 = 1.0 / (2.0 * nu * lam1)
-    c8 = c3 + 2.0 * c6 * c7 / nu
-    c9 = c6 / nu
-    return ConstantLedger(
-        nu=nu, lam1=lam1, c_sobolev=c_sobolev, c_interp=c_interp,
-        force_young=c3, convection_holder=c5, cubic_coeff=c6, energy_young=c7,
-        steady_force_coeff=c8, steady_init_coeff=c9, timedep_force_coeff=c8,
-        free_init_coeff=c9, classical_free_coeff=c6, forced_rate_offset=c6 * nu**3,
-    )
+    return ConstantLedger(nu=nu, lam1=lam1, c_sobolev=c_sobolev, c_interp=c_interp)
 
 
 @dataclass(frozen=True)
 class CriterionInput:
-    """Scalar inputs of the criteria: initial norms, window, and force data."""
+    """Scalar inputs of the criteria: initial norms and force data."""
 
     l2: float
     h1_sq: float
-    t_end: float = math.inf
     f_l2: Optional[float] = None
     int_f_sq: Optional[float] = None
 
     def __post_init__(self):
         if not (0 <= self.l2 < math.inf and 0 <= self.h1_sq < math.inf):
             raise ConfigurationError("initial norms must be finite and non-negative")
-        if not self.t_end >= 0:  # also rejects NaN
-            raise ConfigurationError("time window must be non-negative")
         for name in ("f_l2", "int_f_sq"):
             val = getattr(self, name)
             if val is not None and not (0 <= val < math.inf):
@@ -184,11 +180,7 @@ class BoundCurve:
         return float(vals) if np.isscalar(t) else vals
 
     def to_json_dict(self, samples=11):
-        t_hi = self.horizon
-        if not math.isfinite(t_hi):
-            t_hi = self.params.get("t_end", 1.0)
-            if not math.isfinite(t_hi):
-                t_hi = 1.0
+        t_hi = self.horizon if math.isfinite(self.horizon) else 1.0
         if self.kind.startswith("classical"):
             t_hi = 0.99 * t_hi
         ts = np.linspace(0.0, t_hi, samples)
@@ -197,14 +189,35 @@ class BoundCurve:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of one criterion: accumulated lhs vs the pi/2 threshold."""
+    """Outcome of one criterion: accumulated lhs vs the pi/2 threshold.
+
+    Only ``kind``, ``lhs`` and the certified window ``horizon`` are stored;
+    the verdict, margin and bound follow from them.  ``horizon`` may be
+    infinite, but neither NaN nor negative.
+    """
 
     kind: str
     lhs: float
-    satisfied: bool
-    margin: float
-    bound: Optional[BoundCurve]
-    threshold: float = THRESHOLD
+    horizon: float
+
+    threshold = THRESHOLD
+
+    def __post_init__(self):
+        if not self.horizon >= 0:  # also rejects NaN
+            raise ConfigurationError(f"time window must be non-negative, got {self.horizon}")
+
+    @property
+    def satisfied(self):
+        return self.lhs < self.threshold
+
+    @property
+    def margin(self):
+        return self.threshold - self.lhs
+
+    @property
+    def bound(self):
+        return (BoundCurve(kind=self.kind, horizon=self.horizon, params={"lhs": self.lhs})
+                if self.satisfied else None)
 
     def to_json_dict(self, samples=11):
         b = self.bound
@@ -231,18 +244,9 @@ class CriterionReport:
             raise ConfigurationError(f"malformed criterion report: {exc!r}") from exc
         if kind not in ("arctan_free", "arctan_steady", "arctan_timedep"):
             raise ConfigurationError(f"not an arctan criterion report: kind {kind!r}")
-        if not (0.0 <= lhs < math.inf and horizon >= 0.0):
-            raise ConfigurationError(f"criterion report needs finite lhs >= 0 and "
-                                     f"horizon >= 0, got {lhs} and {horizon}")
-        return _report(kind, lhs, horizon, t_end=horizon)
-
-
-def _report(kind, lhs, horizon, t_end=math.inf):
-    satisfied = lhs < THRESHOLD
-    bound = (BoundCurve(kind=kind, horizon=horizon, params={"lhs": lhs, "t_end": t_end})
-             if satisfied else None)
-    return CriterionReport(kind=kind, lhs=lhs, satisfied=satisfied,
-                           margin=THRESHOLD - lhs, bound=bound)
+        if not 0.0 <= lhs < math.inf:
+            raise ConfigurationError(f"criterion report needs a finite lhs >= 0, got {lhs}")
+        return cls(kind=kind, lhs=lhs, horizon=horizon)
 
 
 def classical_bound_forced(t, h1_sq, f_l2, ledger):
@@ -285,6 +289,18 @@ def classical_horizon_free(h1_sq, nu):
     return nu**3 / (128.0 * h1_sq**2)
 
 
+def _arctan_lhs(force_term, l2, h1_sq, ledger):
+    """The arctan criteria's lhs: force_term + c11 |u0|^2 + arctan(h1_sq)."""
+    return force_term + ledger.free_init_coeff * l2**2 + math.atan(h1_sq)
+
+
+def _arctan_criterion(kind, window, force_term, inputs, ledger):
+    """Report of an arctan criterion certifying the window [0, window]."""
+    inputs.check_poincare(ledger.lam1)
+    return CriterionReport(kind=kind, horizon=window,
+                           lhs=_arctan_lhs(force_term, inputs.l2, inputs.h1_sq, ledger))
+
+
 def arctan_bound_steady(t_end, inputs, ledger):
     """Criterion for a steady force on a finite window [0, t_end].
 
@@ -293,15 +309,10 @@ def arctan_bound_steady(t_end, inputs, ledger):
     """
     if inputs.f_l2 is None:
         raise ConfigurationError("steady criterion needs the force L2 norm f_l2")
-    if not math.isfinite(t_end) or t_end < 0:
+    if not math.isfinite(t_end):  # the report rejects a negative one
         raise ConfigurationError("steady criterion needs a finite window t_end >= 0")
-    inputs.check_poincare(ledger.lam1)
-    lhs = (
-        ledger.steady_force_coeff * t_end * inputs.f_l2**2
-        + ledger.steady_init_coeff * inputs.l2**2
-        + math.atan(inputs.h1_sq)
-    )
-    return _report("arctan_steady", lhs, horizon=t_end, t_end=t_end)
+    force_term = ledger.steady_force_coeff * t_end * inputs.f_l2**2
+    return _arctan_criterion("arctan_steady", t_end, force_term, inputs, ledger)
 
 
 def arctan_bound_timedep(t_end, inputs, ledger):
@@ -309,15 +320,10 @@ def arctan_bound_timedep(t_end, inputs, ledger):
 
     lhs = c10 * int |f|^2 + c11 * |u0|^2 + arctan(|u0|_1^2).
     """
-    if inputs.int_f_sq is None or inputs.int_f_sq < 0:
+    if inputs.int_f_sq is None:
         raise ConfigurationError("time-dependent criterion needs int_f_sq >= 0")
-    inputs.check_poincare(ledger.lam1)
-    lhs = (
-        ledger.timedep_force_coeff * inputs.int_f_sq
-        + ledger.free_init_coeff * inputs.l2**2
-        + math.atan(inputs.h1_sq)
-    )
-    return _report("arctan_timedep", lhs, horizon=t_end, t_end=t_end)
+    force_term = ledger.timedep_force_coeff * inputs.int_f_sq
+    return _arctan_criterion("arctan_timedep", t_end, force_term, inputs, ledger)
 
 
 def arctan_bound_free(inputs, ledger):
@@ -326,9 +332,7 @@ def arctan_bound_free(inputs, ledger):
     A satisfied report certifies the time-independent bound tan(lhs) for
     all t > 0.
     """
-    inputs.check_poincare(ledger.lam1)
-    lhs = ledger.free_init_coeff * inputs.l2**2 + math.atan(inputs.h1_sq)
-    return _report("arctan_free", lhs, horizon=math.inf)
+    return _arctan_criterion("arctan_free", math.inf, 0.0, inputs, ledger)
 
 
 @dataclass(frozen=True)
@@ -457,18 +461,16 @@ def interval_comparison(h1_sq, l2_values, ledger, t_star=None):
         raise ConfigurationError("h1_sq must be non-negative")
     horizon = classical_horizon_free(h1_sq, ledger.nu)
     used_t_star = horizon if t_star is None else float(t_star)
-    if used_t_star <= 0:
-        raise ConfigurationError("t_star must be positive")
+    if not used_t_star > 0:  # also rejects NaN
+        raise ConfigurationError(f"t_star must be positive, got {used_t_star}")
     rows = []
     for l2 in l2_values:
-        inputs = CriterionInput(l2=float(l2), h1_sq=h1_sq)
-        inputs.check_poincare(ledger.lam1)
-        rep = arctan_bound_free(inputs, ledger)
+        rep = arctan_bound_free(CriterionInput(l2=float(l2), h1_sq=h1_sq), ledger)
         if math.isfinite(used_t_star):
             printed_arg = math.sqrt(ledger.nu**3 / (128.0 * used_t_star))
         else:
             printed_arg = 0.0
-        printed_lhs = ledger.free_init_coeff * float(l2) ** 2 + math.atan(printed_arg)
+        printed_lhs = _arctan_lhs(0.0, float(l2), printed_arg, ledger)
         rows.append(
             ComparisonRow(
                 l2=float(l2),

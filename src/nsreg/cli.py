@@ -341,10 +341,9 @@ def cmd_bounds(args):
     ledger = _ledger_from(args)
     if not (args.free or args.steady or args.timedep):
         raise UsageError("choose one of --free, --steady, --timedep")
-    inputs = CriterionInput(
-        l2=args.l2, h1_sq=args.h1sq, t_end=args.T,
-        f_l2=args.f, int_f_sq=args.intf2,
-    )
+    inputs = CriterionInput(l2=args.l2, h1_sq=args.h1sq, f_l2=args.f, int_f_sq=args.intf2)
+    if not args.T >= 0:  # also rejects NaN; --free takes no window but checks it too
+        raise ConfigurationError(f"time window must be non-negative, got {args.T}")
     # the criteria raise for --steady without --f or an infinite --T, --timedep without --intf2
     if args.free:
         report = arctan_bound_free(inputs, ledger)

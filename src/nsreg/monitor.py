@@ -35,6 +35,8 @@ from .solver import energy_balance_residual
 SAFETY = 4.0
 #: largest default relative tolerance of the solver diagnostic
 SOLVER_REL_TOL_CAP = 0.05
+#: name of the solver diagnostic's check
+SOLVER_CHECK = "solver_energy_balance"
 #: slack past a bound's horizon, in ulps of the horizon, for end-of-run rounding
 HORIZON_ULPS = 4
 
@@ -52,16 +54,24 @@ class CheckResult:
 class MonitorReport:
     """Aggregated verdicts; ``violations`` is empty exactly when ``passed``.
 
-    ``trace_too_coarse`` marks a failed solver diagnostic whose modelled
-    default tolerance exceeds :data:`SOLVER_REL_TOL_CAP`: the failure may
-    be differencing error, so it does not indict the integrator.
+    Only the checks are stored: ``passed`` and ``solver_diagnostic_failed``
+    are read off them.  ``trace_too_coarse`` marks a failed solver
+    diagnostic whose modelled default tolerance exceeds
+    :data:`SOLVER_REL_TOL_CAP`: the failure may be differencing error, so
+    it does not indict the integrator.
     """
 
     checks: tuple
     h1_residuals: Optional[np.ndarray]
-    passed: bool
-    solver_diagnostic_failed: bool
     trace_too_coarse: bool = False
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+    @property
+    def solver_diagnostic_failed(self):
+        return any(not c.passed for c in self.checks if c.name == SOLVER_CHECK)
 
     @property
     def violations(self):
@@ -124,7 +134,7 @@ def solver_energy_diagnostic(trace, rel_tol=None):
     if rel_tol is None:
         rel_tol = min(SOLVER_REL_TOL_CAP, max(1e-10, _modelled_solver_tol(trace)))
     abs_residual = np.abs(residual)
-    return _check("solver_energy_balance", trace.t, abs_residual, rel_tol * scale,
+    return _check(SOLVER_CHECK, trace.t, abs_residual, rel_tol * scale,
                   abs_residual.max() / scale if scale > 0 else 0.0, rel_tol)
 
 
@@ -203,8 +213,6 @@ def run_monitor(trace, ledger, report=None, h1_tol=None, energy_tol=None,
     return MonitorReport(
         checks=tuple(checks),
         h1_residuals=residuals,
-        passed=all(c.passed for c in checks),
-        solver_diagnostic_failed=not diag.passed,
         trace_too_coarse=(not diag.passed and solver_rel_tol is None
                           and _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP),
     )

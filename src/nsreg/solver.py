@@ -87,7 +87,6 @@ class SolverConfig:
     dt: float
     t_end: float
     integrator: str = "if_rk4"
-    dealias: bool = True
     cfl: Optional[float] = None
     blowup_h1_sq_ceiling: float = 1e12
 
@@ -98,8 +97,6 @@ class SolverConfig:
                 raise ConfigurationError(f"{what} must be positive and finite, got {value}")
         if self.integrator not in ("if_rk4", "if_rk2"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
-        if self.dealias is not True:
-            raise ConfigurationError("dealiasing is mandatory for this solver")
         if self.cfl is not None and not (self.cfl > 0 and math.isfinite(self.cfl)):
             raise ConfigurationError(f"cfl factor must be positive and finite, got {self.cfl}")
         if not (self.blowup_h1_sq_ceiling > 0 and math.isfinite(self.blowup_h1_sq_ceiling)):
@@ -394,7 +391,7 @@ def _sample(grid, band, fband, f_sq=None):
 def _shells(grid, rest):
     """Content of full-layout coefficients outside the band, by shells of
     equal |k|^2: each shell's eigenvalue |k|^2 and its squared L2 norm."""
-    mag = (rest.real * rest.real + rest.imag * rest.imag).sum(axis=0)
+    mag = _kernels.squared_modulus(rest)
     mag[grid.dealias_mask] = 0.0
     energy = np.bincount(grid.ksq_int.astype(np.intp).ravel(), weights=mag.ravel())
     shells = np.flatnonzero(energy)

@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsreg
 from nsreg import (
     ConfigurationError,
+    ConstantLedger,
     CriterionInput,
     CriterionReport,
     HorizonExceededError,
@@ -101,6 +105,28 @@ def test_ledger_json_dump_has_aliases(ledger):
     assert d["aliases"]["c6"] == ledger.cubic_coeff
     assert d["derived"]["cubic_coeff"] == ledger.cubic_coeff
     assert d["symbol_map"]["c3"] == "force_young"
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.floats(1e-3, 1e3)] * 4)
+def test_ledger_identities_bitwise_for_random_inputs(nu, lam1, c_sobolev, c_interp):
+    test_ledger_identities_bitwise(derive_constants(nu, lam1, c_sobolev, c_interp))
+
+
+def test_ledger_stores_only_its_inputs():
+    assert [f.name for f in fields(ConstantLedger)] == ["nu", "lam1", "c_sobolev", "c_interp"]
+    # equal constants are one property under two names
+    assert ConstantLedger.timedep_force_coeff is ConstantLedger.steady_force_coeff
+    assert ConstantLedger.free_init_coeff is ConstantLedger.steady_init_coeff
+    assert ConstantLedger.classical_free_coeff is ConstantLedger.cubic_coeff
+
+
+@pytest.mark.parametrize("name", ["nu", "lam1", "c_sobolev", "c_interp"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_ledger_built_directly_checks_its_inputs(name, value):
+    inputs = {"nu": 1.0, "lam1": 1.0, "c_sobolev": 1.5, "c_interp": 1.5, name: value}
+    with pytest.raises(ConfigurationError):
+        ConstantLedger(**inputs)
 
 
 def test_forced_growth_rate(ledger):
@@ -228,6 +254,16 @@ def test_arctan_timedep_example_value(ledger):
     assert not rep.satisfied
 
 
+@pytest.mark.parametrize("window", [math.nan, -1.0, -math.inf])
+def test_criteria_reject_a_nan_or_negative_window(ledger, window):
+    with pytest.raises(ConfigurationError):
+        arctan_bound_timedep(window, CriterionInput(l2=0.0, h1_sq=1.0, int_f_sq=0.0), ledger)
+    with pytest.raises(ConfigurationError):
+        arctan_bound_steady(window, CriterionInput(l2=0.0, h1_sq=1.0, f_l2=0.0), ledger)
+    with pytest.raises(ConfigurationError):
+        CriterionReport(kind="arctan_timedep", lhs=0.5, horizon=window)
+
+
 def test_arctan_timedep_requires_integral(ledger):
     with pytest.raises(ConfigurationError):
         arctan_bound_timedep(1.0, CriterionInput(l2=0.0, h1_sq=1.0), ledger)
@@ -266,6 +302,30 @@ def test_criterion_strictness_at_threshold(ledger):
     below = arctan_bound_free(CriterionInput(l2=l2_star * (1 - 1e-9), h1_sq=1.0), ledger)
     assert not above.satisfied
     assert below.satisfied
+
+
+def test_report_and_input_store_only_their_inputs():
+    assert [f.name for f in fields(CriterionReport)] == ["kind", "lhs", "horizon"]
+    assert [f.name for f in fields(CriterionInput)] == ["l2", "h1_sq", "f_l2", "int_f_sq"]
+
+
+@pytest.mark.parametrize("verdict", [{"satisfied": True}, {"margin": 1.0}, {"bound": None},
+                                     {"threshold": 4.0}])
+def test_report_takes_no_verdict(verdict):
+    with pytest.raises(TypeError):
+        CriterionReport(kind="arctan_free", lhs=4.6, horizon=math.inf, **verdict)
+
+
+@pytest.mark.parametrize("ulps", range(-3, 4))
+def test_verdict_at_float_neighbours_of_threshold(ulps):
+    lhs = math.pi / 2
+    for _ in range(abs(ulps)):
+        lhs = math.nextafter(lhs, math.copysign(math.inf, ulps))
+    rep = CriterionReport(kind="arctan_free", lhs=lhs, horizon=math.inf)
+    assert rep.satisfied == (lhs < math.pi / 2) == (ulps < 0)
+    assert rep.margin == math.pi / 2 - lhs
+    assert (rep.bound is None) == (not rep.satisfied)
+    assert rep.to_json_dict()["satisfied"] == rep.satisfied
 
 
 def test_monotonicity_of_lhs(ledger):
@@ -447,6 +507,12 @@ def test_interval_comparison_zero_field_trivial(ledger):
 def test_interval_comparison_rejects_poincare_violation(ledger):
     with pytest.raises(PoincareConsistencyError):
         interval_comparison(1.0, [2.0], ledger)
+
+
+@pytest.mark.parametrize("t_star", [math.nan, 0.0, -1.0, -math.inf])
+def test_interval_comparison_rejects_a_window_not_positive(ledger, t_star):
+    with pytest.raises(ConfigurationError):
+        interval_comparison(1.0, [0.05], ledger, t_star=t_star)
 
 
 def test_interval_comparison_csv_like_dict(ledger):

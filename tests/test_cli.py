@@ -195,6 +195,14 @@ def test_bounds_missing_force_data_is_usage_error(kind):
     assert run(["bounds", *kind, "--l2", "0", "--h1sq", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind", [["--free"], ["--steady", "--f", "0.01"],
+                                  ["--timedep", "--intf2", "0.001"]])
+@pytest.mark.parametrize("window", ["nan", "-1", "-inf"])
+def test_bounds_nan_or_negative_window_is_usage_error(kind, window, capsys):
+    assert run(["bounds", *kind, "--l2", "0.05", "--h1sq", "1", "--T", window]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_sweep_and_threshold(tmp_path):
@@ -271,6 +279,13 @@ def test_compare_records_a_coarse_member_as_not_passed(tmp_path):
     (sim,) = read_json(out / "report.json")["simulations"]
     assert sim["status"] == "completed"
     assert sim["monitor_passed"] is False
+
+
+@pytest.mark.parametrize("t_star", ["nan", "0", "-1"])
+def test_compare_window_not_positive_is_usage_error(tmp_path, t_star):
+    out = tmp_path / "cmp"
+    assert run(["compare", "--h1sq", "1", "--t-star", t_star, "--out", out]) == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_compare_poincare_violation():

@@ -1,6 +1,7 @@
 """Tests for the trajectory-verification checks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nsreg import (
     simulate,
     sobolev_norm,
 )
-from nsreg.monitor import solver_energy_diagnostic
+from nsreg.monitor import CheckResult, MonitorReport, solver_energy_diagnostic
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,28 @@ def test_monitor_violations_property(shear_run, ledger):
     mon = run_monitor(shear_run.trace, ledger)
     assert mon.violations == ()
     assert mon.passed
+
+
+def test_monitor_report_stores_its_checks_and_derives_its_verdicts():
+    assert [f.name for f in fields(MonitorReport)] == ["checks", "h1_residuals",
+                                                       "trace_too_coarse"]
+
+    def check(name, passed):
+        return CheckResult(name=name, passed=passed, max_violation=0.0,
+                           first_violation_t=None, tolerance=0.0)
+
+    for solver_ok, other_ok in ((True, True), (True, False), (False, True), (False, False)):
+        mon = MonitorReport(checks=(check("solver_energy_balance", solver_ok),
+                                    check("h1_differential_inequality", other_ok)),
+                            h1_residuals=None)
+        assert mon.passed == (solver_ok and other_ok) == (mon.violations == ())
+        assert mon.solver_diagnostic_failed == (not solver_ok)
+
+
+@pytest.mark.parametrize("verdict", [{"passed": True}, {"solver_diagnostic_failed": False}])
+def test_monitor_report_takes_no_verdict(verdict):
+    with pytest.raises(TypeError):
+        MonitorReport(checks=(), h1_residuals=None, **verdict)
 
 
 # ------------------------------------------------------------- fail closed

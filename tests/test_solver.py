@@ -60,7 +60,7 @@ def test_config_validation():
         SolverConfig(nu=1.0, dt=1e-3, t_end=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(nu=1.0, dt=1e-3, t_end=1.0, integrator="euler")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         SolverConfig(nu=1.0, dt=1e-3, t_end=1.0, dealias=False)
 
 
