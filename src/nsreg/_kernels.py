@@ -46,15 +46,22 @@ def leray_project_modes(vhat, kx, ky, kz, ksq=None):
     if ksq is None:
         ksq = gx * gx + gy * gy + gz * gz
         ksq[0, 0, 0] = 1.0  # avoid 0/0; mode 0 is overwritten below
-    div = np.multiply(gx, vhat[0])
-    term = np.multiply(gy, vhat[1])
-    div += term
-    div += np.multiply(gz, vhat[2], out=term)
+    div, term = divergence(vhat, kx, ky, kz)
     div /= ksq
     for v, g in zip(vhat, (gx, gy, gz)):
         v -= np.multiply(g, div, out=term)
     vhat[:, 0, 0, 0] = 0.0
     return vhat
+
+
+def divergence(vhat, kx, ky, kz):
+    """k . vhat of each mode, summed as (k_x v_x + k_y v_y) + k_z v_z, with
+    shapes as in :func:`leray_project_modes`; returns it and one scratch array."""
+    div = np.multiply(kx[:, None, None], vhat[0])
+    term = np.multiply(ky[None, :, None], vhat[1])
+    div += term
+    div += np.multiply(kz, vhat[2], out=term)
+    return div, term
 
 
 def weighted_spectral_sum(vhat, weight):

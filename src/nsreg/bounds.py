@@ -16,6 +16,7 @@ rules out blow-up there.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -31,6 +32,8 @@ DEFAULT_C_SOBOLEV = (2048.0 / 27.0) ** 0.125
 DEFAULT_C_INTERP = (2048.0 / 27.0) ** 0.125
 
 THRESHOLD = math.pi / 2.0
+#: points at which a report's JSON samples its bound curve
+BOUND_SAMPLES = 11
 
 #: map from the conventional constant symbols used in the regularity
 #: literature to the ledger's descriptive field names.
@@ -54,7 +57,8 @@ class ConstantLedger:
 
     Only these four inputs are stored.  Every other constant is a property
     computed from them, so the identities between them hold by construction;
-    constants that are equal are one property under two names.
+    constants that are equal are one property under two names.  Building a
+    ledger checks that every constant is a positive finite normal float.
     """
 
     nu: float
@@ -63,9 +67,13 @@ class ConstantLedger:
     c_interp: float
 
     def __post_init__(self):
-        for name, val in vars(self).items():
-            if not (val > 0 and math.isfinite(val)):
-                raise ConfigurationError(f"{name} must be positive and finite, got {val}")
+        for name in (*vars(self), *SYMBOL_MAP.values()):  # the inputs, then derived ones
+            try:
+                val = getattr(self, name)
+            except ArithmeticError:  # a float ** overflowed, or underflowed to a 0 divisor
+                val = math.inf
+            if not sys.float_info.min <= val < math.inf:  # 1 / val must not overflow
+                raise ConfigurationError(f"{name} must be normal, positive and finite, got {val}")
 
     @property
     def force_young(self):
@@ -179,11 +187,11 @@ class BoundCurve:
             vals = np.full_like(ts, math.tan(p["lhs"]))
         return float(vals) if np.isscalar(t) else vals
 
-    def to_json_dict(self, samples=11):
+    def to_json_dict(self):
         t_hi = self.horizon if math.isfinite(self.horizon) else 1.0
         if self.kind.startswith("classical"):
             t_hi = 0.99 * t_hi
-        ts = np.linspace(0.0, t_hi, samples)
+        ts = np.linspace(0.0, t_hi, BOUND_SAMPLES)
         return [{"t": float(t), "value": float(self.evaluate(float(t)))} for t in ts]
 
 
@@ -192,8 +200,8 @@ class CriterionReport:
     """Outcome of one criterion: accumulated lhs vs the pi/2 threshold.
 
     Only ``kind``, ``lhs`` and the certified window ``horizon`` are stored;
-    the verdict, margin and bound follow from them.  ``horizon`` may be
-    infinite, but neither NaN nor negative.
+    the verdict, margin and bound follow from them.  ``lhs`` is finite and
+    ``>= 0``; ``horizon`` may be infinite, but neither NaN nor negative.
     """
 
     kind: str
@@ -203,6 +211,8 @@ class CriterionReport:
     threshold = THRESHOLD
 
     def __post_init__(self):
+        if not 0.0 <= self.lhs < math.inf:
+            raise ConfigurationError(f"criterion report needs a finite lhs >= 0, got {self.lhs}")
         if not self.horizon >= 0:  # also rejects NaN
             raise ConfigurationError(f"time window must be non-negative, got {self.horizon}")
 
@@ -219,7 +229,7 @@ class CriterionReport:
         return (BoundCurve(kind=self.kind, horizon=self.horizon, params={"lhs": self.lhs})
                 if self.satisfied else None)
 
-    def to_json_dict(self, samples=11):
+    def to_json_dict(self):
         b = self.bound
         return {
             "kind": self.kind,
@@ -227,7 +237,7 @@ class CriterionReport:
             "threshold": self.threshold,
             "satisfied": self.satisfied,
             "margin": self.margin,
-            "bound_at": [] if b is None else b.to_json_dict(samples),
+            "bound_at": [] if b is None else b.to_json_dict(),
             "horizon": b.horizon if b is not None and math.isfinite(b.horizon) else None,
         }
 
@@ -244,8 +254,6 @@ class CriterionReport:
             raise ConfigurationError(f"malformed criterion report: {exc!r}") from exc
         if kind not in ("arctan_free", "arctan_steady", "arctan_timedep"):
             raise ConfigurationError(f"not an arctan criterion report: kind {kind!r}")
-        if not 0.0 <= lhs < math.inf:
-            raise ConfigurationError(f"criterion report needs a finite lhs >= 0, got {lhs}")
         return cls(kind=kind, lhs=lhs, horizon=horizon)
 
 
@@ -354,8 +362,7 @@ def _ode_rhs(variant, alpha, beta):
     raise ConfigurationError(f"unknown ODE variant {variant!r}")
 
 
-def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic",
-                          rtol=1e-11, n_samples=2000):
+def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic"):
     """Independent high-accuracy integration of y' = alpha + beta y^3.
 
     Variants: ``cubic`` (alpha + beta y^3), ``arctan_form``
@@ -375,7 +382,7 @@ def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic",
     rhs = _ode_rhs(variant, alpha, beta)
 
     if alpha == 0.0 and y0 == 0.0:
-        ts = np.linspace(0.0, t_end, n_samples)
+        ts = np.linspace(0.0, t_end, 2000)
         return OdeOracle(t=ts, y=np.zeros_like(ts), blowup_time=None)
 
     y_switch = max(1e8, 1e4 * (1.0 + y0), (alpha / beta) ** (1.0 / 3.0) * 10.0)
@@ -393,7 +400,7 @@ def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic",
 
     span_end = min(t_end, t_star_est) if math.isfinite(t_end) else t_star_est
     span_end = max(span_end, 1e-30)
-    sol = solve_ivp(f, (0.0, span_end), [y0], method="RK45", rtol=rtol,
+    sol = solve_ivp(f, (0.0, span_end), [y0], method="RK45", rtol=1e-11,
                     atol=1e-14, dense_output=True, events=hit_switch,
                     max_step=span_end)
     if sol.t_events[0].size:
@@ -404,7 +411,7 @@ def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic",
     else:
         blowup_time = t_star_est
         t_hi = min(t_end, float(sol.t[-1]))
-    ts = np.linspace(0.0, t_hi, n_samples)
+    ts = np.linspace(0.0, t_hi, 2000)
     ys = sol.sol(ts)[0]
     return OdeOracle(t=ts, y=ys, blowup_time=float(blowup_time))
 

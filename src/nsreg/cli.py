@@ -178,7 +178,7 @@ def build_parser():
     p.add_argument("--t-star", type=float, default=None,
                    help="window for the printed square-root criterion form "
                         "(default: the classical horizon)")
-    p.add_argument("--simulate", action="store_true", dest="attach_sims",
+    p.add_argument("--simulate", action="store_true",
                    help="attach a monitored simulation to each sweep point")
     p.add_argument("--N", type=int, default=16)
     p.add_argument("--L", type=_finite, default=2.0 * math.pi)
@@ -204,10 +204,7 @@ def build_parser():
     p.add_argument("--trace", help="trace.csv produced by simulate")
     p.add_argument("--meta", help="meta.json of the run (default: next to trace)")
     p.add_argument("--report", help="criterion report.json for bound dominance")
-    p.add_argument("--h1-tol", type=_finite, default=None)
-    p.add_argument("--energy-tol", type=_finite, default=None)
     p.add_argument("--solver-rel-tol", type=_finite, default=None)
-    p.add_argument("--dominance-rel-tol", type=_finite, default=1e-6)
     _add_ledger_flags(p)
 
     return parser
@@ -384,7 +381,7 @@ def cmd_compare(args):
 
     sims = []
     soundness_violations = []
-    if args.attach_sims:
+    if args.simulate:
         if args.seed < 0:  # else field_with_norms would report it as an infeasible member
             raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
         grid = make_wavegrid(args.N, args.L)
@@ -452,13 +449,7 @@ def cmd_monitor(args):
     report = None
     if args.report:
         report = CriterionReport.from_json_dict(_load_json(args.report))
-        if not report.satisfied:
-            raise UsageError("the supplied criterion report is not satisfied; "
-                             "bound dominance is undefined")
-    mon = run_monitor(trace, ledger, report=report,
-                      h1_tol=args.h1_tol, energy_tol=args.energy_tol,
-                      solver_rel_tol=args.solver_rel_tol,
-                      dominance_rel_tol=args.dominance_rel_tol)
+    mon = run_monitor(trace, ledger, report=report, solver_rel_tol=args.solver_rel_tol)
     if mon.trace_too_coarse:
         raise CoarseTraceError(
             f"solver energy residual {mon.checks[0].max_violation:.3g} exceeds the "
@@ -483,6 +474,7 @@ def main(argv=None):
     failures = (  # (exception type, exit code, message prefix); the first match wins
         (UsageError, EXIT_USAGE, "error"),
         (ConfigurationError, EXIT_USAGE, "configuration error"),
+        (ArithmeticError, EXIT_USAGE, "value out of floating-point range"),
         (PoincareConsistencyError, EXIT_NORM_INCONSISTENT, "inconsistent norms"),
         (CoarseTraceError, EXIT_NORM_INCONSISTENT, "trace too coarse to diagnose"),
         (GridMismatchError, EXIT_NORM_INCONSISTENT, "inconsistent input"),

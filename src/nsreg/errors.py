@@ -36,10 +36,9 @@ class NumericalBlowupError(RuntimeError):
     time of the last finite state.
     """
 
-    def __init__(self, msg, last_valid_time, reason="non-finite coefficients"):
+    def __init__(self, msg, last_valid_time):
         super().__init__(msg)
         self.last_valid_time = last_valid_time
-        self.reason = reason
 
 
 class InvariantViolationError(RuntimeError):

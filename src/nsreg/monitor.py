@@ -1,6 +1,7 @@
 """Numerical verification of the inequality chain along simulation traces.
 
-Three checks run against a :class:`~nsreg.solver.NormTrace`:
+Four checks run against a :class:`~nsreg.solver.NormTrace`, the last only
+when a criterion report is given:
 
 - the solver diagnostic: the energy-balance residual must stay at the
   discretization-error level (a failure indicts the integrator);
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigurationError, GridMismatchError
 from .solver import energy_balance_residual
 
 #: factor on the modelled differencing error in the default tolerances
@@ -120,7 +121,7 @@ def _modelled_solver_tol(trace):
     """Centered-difference error of d/dt l2_sq, relative, for content
     decaying like exp(-2 nu lam_eff t), times :data:`SAFETY`."""
     x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
-    return SAFETY * x * x / 6.0
+    return SAFETY * x * x / 6.0  # float ** 2 raises OverflowError, x * x gives inf
 
 
 def solver_energy_diagnostic(trace, rel_tol=None):
@@ -151,13 +152,9 @@ def check_h1_inequality(trace, ledger, tol=None):
     rhs = ledger.force_young * trace.f_sq + ledger.cubic_coeff * trace.h1_sq**3
     residual = dydt - rhs
     if tol is None:
-        lam_eff = _effective_stiffness(trace)
-        x = 2.0 * trace.nu * lam_eff * _max_dt(trace)
-        diff_err = x * x / 6.0  # float ** 2 raises OverflowError, x * x gives inf
-        tol = max(
-            1e-3 * float(rhs.max(initial=0.0)),
-            SAFETY * diff_err * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)),
-        )
+        tol = max(1e-3 * float(rhs.max(initial=0.0)),
+                  _modelled_solver_tol(trace) * 2.0 * trace.nu
+                  * float(trace.h2_sq.max(initial=0.0)))
     return residual, _check("h1_differential_inequality", trace.t, residual, tol,
                             residual.max(), tol)
 
@@ -177,14 +174,16 @@ def check_bound_dominance(trace, report, rel_tol=1e-6):
     """Verify h1_sq(t_i) <= bound(t_i) * (1 + rel_tol) on the samples inside
     the window the bound certifies.
 
-    ``report`` must be a satisfied criterion report.  Samples after the
+    ``report`` must be a satisfied criterion report, else
+    :class:`ConfigurationError` is raised.  Samples after the
     bound's horizon are not checked: the bound says nothing there.  A
     sample within :data:`HORIZON_ULPS` ulps past the horizon is the run's
     end landing on it with rounding, and is checked at the horizon.  A
     trace with no sample in the window raises :class:`GridMismatchError`.
     """
-    if report.bound is None or not report.satisfied:
-        raise ValueError("bound dominance requires a satisfied criterion report")
+    if not report.satisfied:
+        raise ConfigurationError("the criterion report is not satisfied; "
+                                 "bound dominance is undefined")
     curve = report.bound
     inside = trace.t <= curve.horizon + HORIZON_ULPS * math.ulp(curve.horizon)
     if not inside.any():
@@ -208,7 +207,7 @@ def run_monitor(trace, ledger, report=None, h1_tol=None, energy_tol=None,
     residuals, h1_check = check_h1_inequality(trace, ledger, tol=h1_tol)
     energy_check = check_energy_inequality(trace, ledger, tol=energy_tol)
     checks = [diag, h1_check, energy_check]
-    if report is not None and report.satisfied:
+    if report is not None:
         checks.append(check_bound_dominance(trace, report, rel_tol=dominance_rel_tol))
     return MonitorReport(
         checks=tuple(checks),

@@ -222,12 +222,11 @@ class SpectralVelocity:
             raise GridMismatchError(f"coefficients must be complex128, got {c.dtype}")
         c.setflags(write=False)
 
-    def validate(self, div_tol=None, hermitian_tol=1e-12):
+    def validate(self, hermitian_tol=1e-12):
         """Raise ``ValueError`` unless all field invariants hold.
 
         Checks finite coefficients, Hermitian symmetry, zero mean, and
-        incompressibility  max_k |k . uhat(k)| <= div_tol * max_k |k|  with
-        the default tolerance 1e-12 * max |uhat|.
+        incompressibility  max_k |k . uhat(k)| <= 1e-12 max |uhat| max_k |k|.
         """
         c = self.coefficients
         # one component at a time, without a temporary of all three; np.max,
@@ -241,15 +240,9 @@ class SpectralVelocity:
             raise ValueError("field is not Hermitian-symmetric (complex physical part)")
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")
-        if div_tol is None:
-            div_tol = 1e-12 * peak
         g = self.grid
-        div = np.multiply(g.kx[:, None, None], c[0])
-        term = np.multiply(g.kx[None, :, None], c[1])
-        div += term
-        div += np.multiply(g.kx, c[2], out=term)
-        worst = float(np.abs(div).max())
-        if worst > div_tol * float(np.sqrt(g.ksq.max())):
+        worst = float(np.abs(_kernels.divergence(c, g.kx, g.kx, g.kx)[0]).max())
+        if worst > 1e-12 * peak * float(np.sqrt(g.ksq.max())):
             raise ValueError(f"field is not divergence-free: max |k.uhat| = {worst:g}")
         return self
 

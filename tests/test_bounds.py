@@ -129,6 +129,24 @@ def test_ledger_built_directly_checks_its_inputs(name, value):
         ConstantLedger(**inputs)
 
 
+@pytest.mark.parametrize("inputs", [
+    dict(nu=1e200),  # nu**3 overflows
+    dict(nu=1e-200),  # nu**3 underflows to a zero divisor
+    dict(c_sobolev=1e100),  # (C_S C_I)**4 overflows
+    dict(c_sobolev=1e-160, c_interp=1e80),  # c6 is subnormal: 1 / c6 overflows
+    dict(lam1=1e-308),  # c8 overflows
+])
+def test_ledger_checks_its_derived_constants(inputs):
+    with pytest.raises(ConfigurationError, match="normal, positive and finite"):
+        derive_constants(**{"nu": 1.0, **inputs})
+
+
+@pytest.mark.parametrize("lhs", [math.inf, math.nan, -0.5])
+def test_report_requires_a_finite_non_negative_lhs(lhs):
+    with pytest.raises(ConfigurationError, match="finite lhs"):
+        CriterionReport(kind="arctan_free", lhs=lhs, horizon=math.inf)
+
+
 def test_forced_growth_rate(ledger):
     assert ledger.forced_growth_rate(1.0) == pytest.approx(66.0, rel=1e-12)
     assert ledger.forced_growth_rate(0.0) == pytest.approx(64.0, rel=1e-12)

@@ -281,6 +281,40 @@ def test_compare_records_a_coarse_member_as_not_passed(tmp_path):
     assert sim["monitor_passed"] is False
 
 
+def test_compare_records_a_member_infeasible_on_the_grid(tmp_path):
+    # at N = 8 the band holds |k|^2 <= 12: h1_sq / l2^2 = 40 has no field, 10 has
+    out = tmp_path / "cmp"
+    code = run(["compare", "--h1sq", "10", "--l2-sweep", "0.5,1", "--simulate",
+                "--N", "8", "--T", "0.01", "--dt", "1e-3", "--out", out])
+    assert code == EXIT_OK
+    infeasible, feasible = read_json(out / "report.json")["simulations"]
+    assert infeasible["status"] == "infeasible_on_grid"
+    assert "not realizable" in infeasible["detail"]
+    assert feasible["status"] == "completed"
+    row = (out / "compare.csv").read_text().splitlines()[1]
+    assert row.split(",")[-3:] == ["infeasible_on_grid", "", ""]
+
+
+@pytest.mark.parametrize("sweep", ["0.1,abc", "", " , ,"])
+def test_compare_bad_or_empty_sweep_is_usage_error(tmp_path, capsys, sweep):
+    out = tmp_path / "cmp"
+    assert run(["compare", "--l2-sweep", sweep, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--l2-sweep" in err[0]
+    assert not out.exists()
+
+
+def test_compare_config_key_simulate(tmp_path):
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text("h1sq = 1\nl2-sweep = 0.5\nsimulate = true\nN = 8\nT = 0.01\ndt = 1e-3\n")
+    out = tmp_path / "cmp"
+    assert run(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+    (sim,) = read_json(out / "report.json")["simulations"]
+    assert sim["status"] == "completed"
+    cfg.write_text("attach_sims = true\n")  # the flag's old internal name is no key
+    assert run(["compare", "--config", cfg]) == EXIT_USAGE
+
+
 @pytest.mark.parametrize("t_star", ["nan", "0", "-1"])
 def test_compare_window_not_positive_is_usage_error(tmp_path, t_star):
     out = tmp_path / "cmp"
@@ -504,6 +538,35 @@ def test_corrupted_config_is_usage_error(tmp_path_factory, command, data):
     assert not (tmp / "o").exists()
 
 
+FLOAT_FLAGS = {
+    "bounds": ["--l2", "--h1sq", "--T", "--f", "--intf2", "--nu", "--lam1", "--c-sobolev",
+               "--c-interp"],
+    "compare": ["--h1sq", "--l2-sweep", "--t-star", "--L", "--T", "--dt", "--nu", "--lam1",
+                "--c-sobolev", "--c-interp"],
+}
+EXTREME = st.builds("{}e{}".format, st.integers(1, 9),
+                    st.integers(150, 308) | st.integers(-308, -150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["bounds", "compare"]), data=st.data())
+def test_extreme_float_flags_exit_cleanly(command, data):
+    argv = [command]
+    if command == "bounds":
+        argv += [data.draw(st.sampled_from(["--free", "--steady", "--timedep"])),
+                 "--T", "1", "--f", "0.01", "--intf2", "0.01", "--l2", "0.05", "--h1sq", "1"]
+    for flag in data.draw(st.lists(st.sampled_from(FLOAT_FLAGS[command]), min_size=1,
+                                   max_size=3, unique=True)):
+        argv += [flag, data.draw(EXTREME)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NORM_INCONSISTENT), (argv, lines)
+    assert len(lines) == (code != EXIT_OK), (argv, lines)
+    assert all(line.startswith("nsreg") for line in lines), (argv, lines)
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["simulate", "--frobnicate"]) == EXIT_USAGE
 
@@ -554,6 +617,27 @@ def test_monitor_undecodable_trace(tmp_path):
                                   "--dominance-rel-tol"])
 def test_monitor_rejects_non_finite_tolerance(shear_run, flag):
     assert run(["monitor", "--trace", shear_run / "trace.csv", flag, "nan"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key", ["h1-tol", "energy-tol", "dominance-rel-tol"])
+def test_monitor_has_no_check_tolerance_options(shear_run, tmp_path, capsys, key):
+    trace = shear_run / "trace.csv"
+    assert run(["monitor", "--trace", trace, f"--{key}", "1"]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "mon.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert run(["monitor", "--trace", trace, "--config", cfg]) == EXIT_USAGE
+    assert "unknown option" in capsys.readouterr().err
+
+
+def test_monitor_violation_cannot_be_tolerated_away(tmp_path):
+    run_dir, cert = tmp_path / "run", tmp_path / "cert"
+    assert run(["simulate", "--init", "shear", "--amplitude", "5", "--N", "8", "--T", "0.05",
+                "--dt", "5e-3", "--out", run_dir]) == EXIT_OK
+    assert run(["bounds", "--free", "--l2", "0.05", "--h1sq", "0.0025", "--out", cert]) == EXIT_OK
+    argv = ["monitor", "--trace", run_dir / "trace.csv", "--report", cert / "report.json"]
+    assert run(argv) == EXIT_VIOLATION
+    assert run(argv + ["--dominance-rel-tol", "1e12"]) == EXIT_USAGE
 
 
 def test_monitor_non_numeric_trace_cell(shear_run, tmp_path):

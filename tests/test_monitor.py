@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nsreg import (
+    ConfigurationError,
     CriterionInput,
     ForcingSpec,
     GridMismatchError,
@@ -145,6 +146,12 @@ def test_dominance_rejects_unsatisfied_report(shear_run, ledger):
     assert not report.satisfied
     with pytest.raises(ValueError):
         check_bound_dominance(shear_run.trace, report)
+
+
+def test_run_monitor_rejects_unsatisfied_report(shear_run, ledger):
+    report = arctan_bound_free(CriterionInput(l2=1.0, h1_sq=1.0), ledger)
+    with pytest.raises(ConfigurationError, match="not satisfied"):
+        run_monitor(shear_run.trace, ledger, report=report)
 
 
 def test_dominance_detects_planted_violation(grid16, ledger):

@@ -5,6 +5,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from nsreg import (
     step,
 )
 from nsreg import _kernels, solver
-from nsreg.errors import GridMismatchError, InvariantViolationError
+from nsreg.errors import GridMismatchError, InvariantViolationError, NumericalBlowupError
 from nsreg.solver import _check_invariants, _sample, _Stepper
 from nsreg.spectral import from_physical, to_band
 
@@ -343,6 +344,32 @@ def test_step_rejects_nonpositive_dt(grid8):
         step(shear_field(grid8), ForcingSpec.zero(), 0.0, 0.0, cfg)
 
 
+def nan_after_start(grid):
+    """Time-dependent force: zero at t = 0, NaN in every mode after it."""
+    def gen(t):
+        value = 0.0 if t == 0.0 else np.nan
+        return SpectralVelocity(grid, np.full((3,) + grid.ksq.shape, value, dtype=np.complex128))
+
+    return ForcingSpec.time_dependent(gen)
+
+
+def test_step_raises_numerical_blowup_on_non_finite_state(grid8):
+    cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=1.0)
+    with pytest.raises(NumericalBlowupError, match="non-finite") as info:
+        step(shear_field(grid8), nan_after_start(grid8), 0.0, 1e-2, cfg)
+    assert info.value.last_valid_time == 0.0
+
+
+def test_step_checks_invariants(grid8):
+    # the mean mode has no viscous decay and the right-hand side never
+    # touches it, so a step keeps it, and the new state's check finds it
+    c = np.array(shear_field(grid8).coefficients)
+    c[0, 0, 0, 0] = 0.5
+    cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=1.0)
+    with pytest.raises(InvariantViolationError, match="zero-mean"):
+        step(SpectralVelocity(grid8, c), ForcingSpec.zero(), 0.0, 1e-2, cfg)
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_shear_exact_decay(grid16):
@@ -479,6 +506,34 @@ def test_final_norms_match_recorded_runs(grid16, init, config, expected):
     trace = simulate(u0, forcing, SolverConfig(**config)).trace
     got = (trace.l2_sq[-1], trace.h1_sq[-1], trace.h2_sq[-1])
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_check_invariants_rejects_divergence(grid8):
+    band = to_band(random_divfree_field(grid8, 1, -2.0, 1.0).coefficients, grid8)
+    band[0, 1, 0, 0] += 1.0  # k = (1, 0, 0): k . v gains 1
+    with pytest.raises(InvariantViolationError, match="divergence-free"):
+        _check_invariants(grid8, band, 0.0)
+
+
+def test_check_invariants_is_false_for_non_finite_states(grid8):
+    band = to_band(random_divfree_field(grid8, 1, -2.0, 1.0).coefficients, grid8)
+    assert _check_invariants(grid8, band, 0.0) is True
+    assert _check_invariants(grid8, np.zeros_like(band), 0.0) is True
+    for bad in (np.nan, np.inf, complex(1.5e308, 1.5e308)):  # the last: |c| overflows
+        planted = band.copy()
+        planted[1, 2, 1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_invariants(grid8, planted, 0.0) is False
+
+
+def test_simulate_reports_non_finite_coefficients_as_blowup(grid8):
+    cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
+    res = simulate(shear_field(grid8), nan_after_start(grid8), cfg)
+    assert res.termination == "blowup"
+    assert res.blowup_reason == "non-finite coefficients"
+    assert res.blowup_time == 0.0
+    assert len(res.trace) == 1 and np.all(np.isfinite(res.trace.h1_sq))
 
 
 def test_check_invariants_rejects_mean_mode(grid8):

@@ -572,6 +572,22 @@ def test_validate_rejects_nan_mode(grid8):
                 SpectralVelocity(grid8, c).validate()
 
 
+def test_validate_rejects_nonzero_mean(grid8):
+    c = np.array(random_divfree_field(grid8, 3, -2.0, 1.0).coefficients)
+    c[2, 0, 0, 0] = 0.5  # real, so the field stays Hermitian
+    with pytest.raises(ValueError, match="nonzero mean"):
+        SpectralVelocity(grid8, c).validate()
+
+
+def test_divergence_sums_in_the_order_of_its_callers(grid8):
+    v = random_divfree_field(grid8, 4, -2.0, 1.0).coefficients + 0.1
+    g = grid8.kx
+    want = g[:, None, None] * v[0] + g[None, :, None] * v[1] + g * v[2]
+    div, scratch = _kernels.divergence(v, g, g, g)
+    assert np.array_equal(div, want) and np.abs(want).max() > 0.0
+    assert scratch.shape == div.shape and scratch.dtype == div.dtype
+
+
 def test_field_with_norms_hits_targets(grid16):
     u = field_with_norms(grid16, 5, 0.4, 1.0)
     u.validate()
