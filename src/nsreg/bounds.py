@@ -285,16 +285,16 @@ def classical_bound_free(t, h1_sq, ledger):
 
 def classical_free_curve(h1_sq, ledger):
     c = ledger.classical_free_coeff
-    horizon = math.inf if h1_sq == 0.0 else 1.0 / (2.0 * c * h1_sq**2)
+    sq = h1_sq**2  # 0.0 also once a tiny h1_sq underflows
+    horizon = math.inf if sq == 0.0 else 1.0 / (2.0 * c * sq)
     return BoundCurve(kind="classical_free", horizon=horizon,
                       params={"h1_sq": h1_sq, "coeff": c})
 
 
 def classical_horizon_free(h1_sq, nu):
     """Force-free guaranteed window nu^3 / (128 |u0|_1^4), exactly."""
-    if h1_sq == 0.0:
-        return math.inf
-    return nu**3 / (128.0 * h1_sq**2)
+    sq = h1_sq**2  # 0.0 also once a tiny h1_sq underflows
+    return math.inf if sq == 0.0 else nu**3 / (128.0 * sq)
 
 
 def _arctan_lhs(force_term, l2, h1_sq, ledger):

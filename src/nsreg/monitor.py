@@ -12,13 +12,14 @@ when a criterion report is given:
   l2_sq(t) + (nu/2) int h1_sq <= 2 c7 int |f|^2 + l2_sq(0);
 - dominance of a certified bound curve over the observed h1_sq.
 
-Default tolerances scale with the measured stiffness of the trace
+Each check has one tolerance.  The solver diagnostic's and the gradient-norm
+inequality's scale with the measured stiffness of the trace
 (lam_eff = max h2_sq / h1_sq) and the sampling step, so refining dt
-provably shrinks them; they can be overridden per call.  The solver
-diagnostic's default tolerance is capped at :data:`SOLVER_REL_TOL_CAP`; a
-trace whose modelled tolerance exceeds the cap is too coarse to tell a
-wrong integrator from differencing error, and a failed diagnostic on it
-is reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
+provably shrinks them; only the solver diagnostic's can be overridden per
+call, and its default is capped at :data:`SOLVER_REL_TOL_CAP`.  A trace
+whose modelled tolerance exceeds the cap is too coarse to tell a wrong
+integrator from differencing error, and a failed diagnostic on it is
+reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
 fails closed: a NaN or infinite residual, or a NaN tolerance, is a
 violation.
 """
@@ -40,6 +41,8 @@ SOLVER_REL_TOL_CAP = 0.05
 SOLVER_CHECK = "solver_energy_balance"
 #: slack past a bound's horizon, in ulps of the horizon, for end-of-run rounding
 HORIZON_ULPS = 4
+#: relative slack of bound dominance, h1_sq <= bound * (1 + DOMINANCE_REL_TOL)
+DOMINANCE_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class MonitorReport:
     """
 
     checks: tuple
-    h1_residuals: Optional[np.ndarray]
     trace_too_coarse: bool = False
 
     @property
@@ -139,40 +141,37 @@ def solver_energy_diagnostic(trace, rel_tol=None):
                   abs_residual.max() / scale if scale > 0 else 0.0, rel_tol)
 
 
-def check_h1_inequality(trace, ledger, tol=None):
+def check_h1_inequality(trace, ledger):
     """Residuals d/dt h1_sq - c3 |f|^2 - c6 h1_sq^3 per sample.
 
     The inequality predicts residuals <= 0 up to differencing error;
     returns the residual series and a :class:`CheckResult` flagging
-    positive excursions beyond ``tol``.
+    positive excursions beyond the modelled differencing error.
     """
     if len(trace) < 2:
         raise GridMismatchError("h1 inequality check needs at least two samples")
     dydt = np.gradient(trace.h1_sq, trace.t, edge_order=2 if len(trace) > 2 else 1)
     rhs = ledger.force_young * trace.f_sq + ledger.cubic_coeff * trace.h1_sq**3
     residual = dydt - rhs
-    if tol is None:
-        tol = max(1e-3 * float(rhs.max(initial=0.0)),
-                  _modelled_solver_tol(trace) * 2.0 * trace.nu
-                  * float(trace.h2_sq.max(initial=0.0)))
+    tol = max(1e-3 * float(rhs.max(initial=0.0)),
+              _modelled_solver_tol(trace) * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)))
     return residual, _check("h1_differential_inequality", trace.t, residual, tol,
                             residual.max(), tol)
 
 
-def check_energy_inequality(trace, ledger, tol=None):
+def check_energy_inequality(trace, ledger):
     """Cumulative check l2_sq + (nu/2) int h1_sq <= 2 c7 int |f|^2 + l2_sq(0)."""
     lhs = trace.l2_sq + 0.5 * trace.nu * trace.int_h1_sq
     rhs = 2.0 * ledger.energy_young * trace.int_f_sq + trace.l2_sq[0]
     excess = lhs - rhs
-    if tol is None:
-        scale = float(max(trace.l2_sq.max(), rhs.max(), 1e-300))
-        tol = 1e-9 * scale + 1e-12
+    scale = float(max(trace.l2_sq.max(), rhs.max(), 1e-300))
+    tol = 1e-9 * scale + 1e-12
     return _check("cumulative_energy_inequality", trace.t, excess, tol, excess.max(), tol)
 
 
-def check_bound_dominance(trace, report, rel_tol=1e-6):
-    """Verify h1_sq(t_i) <= bound(t_i) * (1 + rel_tol) on the samples inside
-    the window the bound certifies.
+def check_bound_dominance(trace, report):
+    """Verify h1_sq(t_i) <= bound(t_i) * (1 + :data:`DOMINANCE_REL_TOL`) on
+    the samples inside the window the bound certifies.
 
     ``report`` must be a satisfied criterion report, else
     :class:`ConfigurationError` is raised.  Samples after the
@@ -191,27 +190,23 @@ def check_bound_dominance(trace, report, rel_tol=1e-6):
                                 f"window, which ends at t = {curve.horizon:g}")
     t = trace.t[inside]
     values = np.asarray(curve.evaluate(np.minimum(t, curve.horizon)), dtype=float)
-    excess = trace.h1_sq[inside] - values * (1.0 + rel_tol)
+    excess = trace.h1_sq[inside] - values * (1.0 + DOMINANCE_REL_TOL)
     return _check(f"bound_dominance[{curve.kind}]", t, excess, 0.0,
-                  excess.max(), rel_tol)
+                  excess.max(), DOMINANCE_REL_TOL)
 
 
-def run_monitor(trace, ledger, report=None, h1_tol=None, energy_tol=None,
-                solver_rel_tol=None, dominance_rel_tol=1e-6):
+def run_monitor(trace, ledger, report=None, solver_rel_tol=None):
     """Run the solver diagnostic plus all applicable inequality checks.
 
     The solver diagnostic comes first so a failing report distinguishes
     "integrator is wrong" from "constants are wrong".
     """
     diag = solver_energy_diagnostic(trace, rel_tol=solver_rel_tol)
-    residuals, h1_check = check_h1_inequality(trace, ledger, tol=h1_tol)
-    energy_check = check_energy_inequality(trace, ledger, tol=energy_tol)
-    checks = [diag, h1_check, energy_check]
+    checks = [diag, check_h1_inequality(trace, ledger)[1], check_energy_inequality(trace, ledger)]
     if report is not None:
-        checks.append(check_bound_dominance(trace, report, rel_tol=dominance_rel_tol))
+        checks.append(check_bound_dominance(trace, report))
     return MonitorReport(
         checks=tuple(checks),
-        h1_residuals=residuals,
         trace_too_coarse=(not diag.passed and solver_rel_tol is None
                           and _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP),
     )

@@ -106,10 +106,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class NormTrace:
-    """Norm time series of one run, immutable after construction.
+    """Norm time series of one run, immutable after construction; its
+    fields are the columns of ``trace.csv`` but the derived ``residual``.
 
     ``int_h1_sq`` and ``int_f_sq`` are trapezoidal running integrals of
-    ``h1_sq`` and of the squared force norm ``f_sq``.
+    ``h1_sq`` and of the squared force norm :attr:`f_sq`, read off ``int_f_sq``.
     """
 
     t: np.ndarray
@@ -117,14 +118,13 @@ class NormTrace:
     h1_sq: np.ndarray
     h2_sq: np.ndarray
     f_dot_u: np.ndarray
-    f_sq: np.ndarray
     int_h1_sq: np.ndarray
     int_f_sq: np.ndarray
     nu: float
 
     def __post_init__(self):
         arrays = (self.t, self.l2_sq, self.h1_sq, self.h2_sq, self.f_dot_u,
-                  self.f_sq, self.int_h1_sq, self.int_f_sq)
+                  self.int_h1_sq, self.int_f_sq)
         n = len(self.t)
         if any(len(a) != n for a in arrays):
             raise GridMismatchError("trace arrays have mismatched lengths")
@@ -132,7 +132,7 @@ class NormTrace:
             raise ConfigurationError("trace has non-finite entries")
         if n > 1 and not np.all(np.diff(self.t) > 0):
             raise ConfigurationError("trace times must be strictly increasing")
-        for name in ("l2_sq", "h1_sq", "h2_sq", "f_sq"):
+        for name in ("l2_sq", "h1_sq", "h2_sq"):
             if np.any(getattr(self, name) < 0):
                 raise ConfigurationError(f"trace column {name} has negative entries")
         for name in ("int_h1_sq", "int_f_sq"):
@@ -145,15 +145,21 @@ class NormTrace:
     def __len__(self):
         return len(self.t)
 
+    @property
+    def f_sq(self):
+        """Squared force norm per sample: the slope of ``int_f_sq``, clipped at 0."""
+        if len(self) < 2:
+            return np.zeros_like(self.t)
+        return np.maximum(np.gradient(self.int_f_sq, self.t), 0.0)
+
     def to_csv(self, path=None):
         """Serialize with the pinned header; returns the CSV text."""
         residual = energy_balance_residual(self) if len(self) >= 2 else np.zeros(len(self))
+        columns = np.column_stack((self.t, self.l2_sq, self.h1_sq, self.h2_sq, self.f_dot_u,
+                                   self.int_h1_sq, self.int_f_sq, residual))
         buf = io.StringIO()
-        buf.write(",".join(TRACE_COLUMNS) + "\n")
-        cols = (self.t, self.l2_sq, self.h1_sq, self.h2_sq, self.f_dot_u,
-                self.int_h1_sq, self.int_f_sq, residual)
-        for row in zip(*cols):
-            buf.write(",".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(buf, columns, fmt="%.17g", delimiter=",", header=",".join(TRACE_COLUMNS),
+                   comments="")
         text = buf.getvalue()
         if path is not None:
             with open(path, "w") as fh:
@@ -164,10 +170,8 @@ class NormTrace:
     def from_csv(cls, path, nu):
         """Load a trace written by :meth:`to_csv`.
 
-        The per-sample force norm is reconstructed from the slope of the
-        running integral ``int_f_sq``.  A cell that is not a finite
-        number, a short row or an empty body raises
-        :class:`ConfigurationError`.
+        A cell that is not a finite number, a short row or an empty body
+        raises :class:`ConfigurationError`.
         """
         with open(path, errors="replace") as fh:  # undecodable bytes fail as bad cells
             header = fh.readline().strip()
@@ -183,12 +187,9 @@ class NormTrace:
             raise ConfigurationError(f"{path}: wrong column count")
         if not np.all(np.isfinite(data)):
             raise ConfigurationError(f"{path}: trace has non-finite entries")
-        t = data[:, 0]
-        f_sq = np.gradient(data[:, 6], t) if len(t) > 1 else np.zeros_like(t)
-        f_sq = np.maximum(f_sq, 0.0)
-        return cls(t=t, l2_sq=data[:, 1], h1_sq=data[:, 2], h2_sq=data[:, 3],
-                   f_dot_u=data[:, 4], f_sq=f_sq, int_h1_sq=data[:, 5],
-                   int_f_sq=data[:, 6], nu=nu)
+        columns = dict(zip(TRACE_COLUMNS, data.T))
+        del columns["residual"]  # derived on writing
+        return cls(**columns, nu=nu)
 
 
 class SimulationResult:
@@ -479,7 +480,7 @@ def simulate(u0, forcing, config):
         return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (y[:-1] + y[1:]))])
 
     trace = NormTrace(t=t, l2_sq=l2_sq, h1_sq=h1_sq, h2_sq=h2_sq, f_dot_u=f_dot_u,
-                      f_sq=f_sq, int_h1_sq=running_integral(h1_sq),
+                      int_h1_sq=running_integral(h1_sq),
                       int_f_sq=running_integral(f_sq), nu=config.nu)
     return SimulationResult(
         trace=trace,

@@ -222,11 +222,11 @@ class SpectralVelocity:
             raise GridMismatchError(f"coefficients must be complex128, got {c.dtype}")
         c.setflags(write=False)
 
-    def validate(self, hermitian_tol=1e-12):
+    def validate(self):
         """Raise ``ValueError`` unless all field invariants hold.
 
-        Checks finite coefficients, Hermitian symmetry, zero mean, and
-        incompressibility  max_k |k . uhat(k)| <= 1e-12 max |uhat| max_k |k|.
+        Checks finite coefficients, zero mean, Hermitian symmetry to
+        1e-12 max |uhat|, and max_k |k . uhat(k)| <= 1e-12 max |uhat| max_k |k|.
         """
         c = self.coefficients
         # one component at a time, without a temporary of all three; np.max,
@@ -236,7 +236,7 @@ class SpectralVelocity:
             raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
             return self
-        if max(hermitian_defect(comp) for comp in c) > hermitian_tol * peak:
+        if max(hermitian_defect(comp) for comp in c) > 1e-12 * peak:
             raise ValueError("field is not Hermitian-symmetric (complex physical part)")
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")

@@ -194,6 +194,12 @@ def test_classical_free_horizon_anchor():
     assert classical_horizon_free(0.0, 1.0) == math.inf
 
 
+def test_classical_free_horizon_of_an_underflowing_square(ledger):
+    # h1_sq**2 underflows to 0.0: the window is unbounded, not a division by zero
+    assert classical_horizon_free(1e-170, 1.0) == math.inf
+    assert classical_free_curve(1e-170, ledger).horizon == math.inf
+
+
 def test_classical_free_horizon_scaling():
     assert classical_horizon_free(2.0, 1.0) == 1.0 / 512.0
     assert classical_horizon_free(1.0, 2.0) == 8.0 / 128.0

@@ -70,6 +70,16 @@ def test_simulate_deterministic_output(tmp_path):
     assert (out1 / "index.json").read_bytes() == (out2 / "index.json").read_bytes()
 
 
+def test_simulate_kolmogorov_rk2_cfl_reruns_identically(tmp_path):
+    args = ["simulate", "--forcing", "kolmogorov", "--f-amp", "2", "--integrator", "if_rk2",
+            "--cfl", "0.5", "--N", "16", "--T", "0.1", "--dt", "1e-3", "--amplitude", "0.5"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(args + ["--out", out1]) == EXIT_OK
+    assert run(args + ["--out", out2]) == EXIT_OK
+    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+    assert run(["monitor", "--trace", out1 / "trace.csv"]) == EXIT_OK
+
+
 def test_simulate_usage_errors(tmp_path):
     assert run(["simulate", "--N", "15", "--out", tmp_path / "x"]) == EXIT_USAGE
     assert run(["simulate", "--nu", "-1", "--out", tmp_path / "y"]) == EXIT_USAGE
@@ -254,7 +264,7 @@ def test_compare_records_a_certified_member_blowing_up_at_once(tmp_path, monkeyp
     def first_step_blowup(u0, forcing, config):
         one = np.array([0.0])
         trace = nsreg.NormTrace(t=one, l2_sq=one + 0.01, h1_sq=one + 1.0, h2_sq=one + 1.0,
-                                f_dot_u=one, f_sq=one, int_h1_sq=one, int_f_sq=one,
+                                f_dot_u=one, int_h1_sq=one, int_f_sq=one,
                                 nu=config.nu)
         return nsreg.SimulationResult(trace=trace, final_state=u0, termination="blowup",
                                       blowup_time=0.0, blowup_reason="planted",
@@ -322,6 +332,15 @@ def test_compare_window_not_positive_is_usage_error(tmp_path, t_star):
     assert not out.exists()
 
 
+def test_compare_tiny_h1sq_has_no_classical_horizon(tmp_path):
+    # h1_sq**2 underflows: the classical window is unbounded, reported as null
+    out = tmp_path / "cmp"
+    assert run(["compare", "--h1sq", "1e-200", "--l2-sweep", "1e-101", "--out", out]) == EXIT_OK
+    (row,) = read_json(out / "report.json")["rows"]
+    assert row["classical_horizon"] is None
+    assert row["extends_classical"] is False
+
+
 def test_compare_poincare_violation():
     assert run(["compare", "--h1sq", "1", "--l2-sweep", "5"]) == EXIT_NORM_INCONSISTENT
 
@@ -337,6 +356,15 @@ def test_calibrate_cli(tmp_path):
     assert payload["n_ensemble"] == 2
     assert payload["empirical_lower_bounds"]["c_sobolev"] > 0.0
     assert payload["warnings"] == []
+
+
+def test_calibrate_prints_each_warning_on_stderr(tmp_path, capsys):
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--N", "8", "--ensemble", "2", "--c-sobolev", "0.01",
+                "--c-interp", "0.01", "--out", out]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("warning:") for line in err)
+    assert len(read_json(out / "report.json")["warnings"]) == 2
 
 
 # ------------------------------------------------------------------ monitor
@@ -460,6 +488,15 @@ def test_config_file_precedence(tmp_path, capsys):
     assert run(["bounds", "--config", cfg, "--l2", "0.0"]) == EXIT_OK
     overridden = json.loads(capsys.readouterr().out)["report"]
     assert overridden["lhs"] == pytest.approx(math.atan(0.5), rel=1e-12)
+
+
+def test_config_file_skips_its_config_key_and_flags_blocked_on_the_command_line(
+        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steady = true\nconfig = other.cfg\n")  # other.cfg does not exist
+    argv = ["bounds", "--config", cfg, "--free", "--l2", "0.05", "--h1sq", "0.0025"]
+    assert run(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["kind"] == "arctan_free"
 
 
 def test_config_file_unknown_key(tmp_path):

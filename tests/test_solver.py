@@ -33,7 +33,7 @@ from nsreg import (
 from nsreg import _kernels, solver
 from nsreg.errors import GridMismatchError, InvariantViolationError, NumericalBlowupError
 from nsreg.solver import _check_invariants, _sample, _Stepper
-from nsreg.spectral import from_physical, to_band
+from nsreg.spectral import from_physical, hermitian_defect, to_band
 
 
 def zero_field(grid):
@@ -119,7 +119,8 @@ def test_step_from_rest_linearizes_forcing(grid16):
 def test_step_output_exactly_hermitian(grid16):
     cfg = SolverConfig(nu=0.1, dt=1e-2, t_end=1.0)
     u = random_divfree_field(grid16, 5, -2.0, 3.0)
-    step(u, kolmogorov_forcing(grid16, 2.0), 0.0, cfg.dt, cfg).validate(hermitian_tol=0.0)
+    out = step(u, kolmogorov_forcing(grid16, 2.0), 0.0, cfg.dt, cfg).validate()
+    assert all(hermitian_defect(comp) == 0.0 for comp in out.coefficients)
 
 
 def field_beyond_band(grid, seed, amplitude):
@@ -417,7 +418,8 @@ def test_final_state_exactly_hermitian(grid16):
     u0 = random_divfree_field(grid16, 9, -2.0, 4.0)
     cfg = SolverConfig(nu=0.1, dt=5e-3, t_end=0.05)
     res = simulate(u0, kolmogorov_forcing(grid16, 1.0), cfg)
-    res.final_state.validate(hermitian_tol=0.0)
+    res.final_state.validate()
+    assert all(hermitian_defect(comp) == 0.0 for comp in res.final_state.coefficients)
 
 
 def test_final_state_is_built_when_first_read(grid16, monkeypatch):
@@ -616,7 +618,7 @@ def test_energy_residual_stationary_balance(grid16):
 def test_energy_residual_needs_samples(grid8):
     trace = NormTrace(
         t=np.array([0.0]), l2_sq=np.array([1.0]), h1_sq=np.array([1.0]),
-        h2_sq=np.array([1.0]), f_dot_u=np.array([0.0]), f_sq=np.array([0.0]),
+        h2_sq=np.array([1.0]), f_dot_u=np.array([0.0]),
         int_h1_sq=np.array([0.0]), int_f_sq=np.array([0.0]), nu=1.0,
     )
     with pytest.raises(GridMismatchError):
@@ -627,7 +629,7 @@ def test_energy_residual_needs_samples(grid8):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_trace_rejects_non_finite(column, value):
     cols = {name: np.array([0.0, 1.0, 2.0]) for name in
-            ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "f_sq", "int_h1_sq", "int_f_sq")}
+            ("t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq")}
     cols[column][-1] = value
     with pytest.raises(ConfigurationError, match="non-finite"):
         NormTrace(nu=1.0, **cols)
@@ -666,7 +668,7 @@ def test_trace_rejects_decreasing_times():
     with pytest.raises(ConfigurationError):
         NormTrace(
             t=np.array([0.0, 0.0]), l2_sq=np.zeros(2), h1_sq=np.zeros(2),
-            h2_sq=np.zeros(2), f_dot_u=np.zeros(2), f_sq=np.zeros(2),
+            h2_sq=np.zeros(2), f_dot_u=np.zeros(2),
             int_h1_sq=np.zeros(2), int_f_sq=np.zeros(2), nu=1.0,
         )
 
