@@ -19,8 +19,6 @@ from .bounds import (
     arctan_bound_free,
     arctan_bound_steady,
     arctan_bound_timedep,
-    classical_bound_forced,
-    classical_bound_free,
     classical_forced_curve,
     classical_free_curve,
     classical_horizon_forced,
@@ -57,7 +55,6 @@ from .solver import (
     step,
 )
 from .spectral import (
-    RealVelocity,
     SpectralVelocity,
     WaveGrid,
     field_with_norms,
@@ -71,8 +68,6 @@ from .spectral import (
     save_field,
     shear_field,
     sobolev_norm,
-    stokes_apply,
-    stokes_eigenvalues,
     to_physical,
     trilinear_b,
 )

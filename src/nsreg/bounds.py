@@ -257,12 +257,8 @@ class CriterionReport:
         return cls(kind=kind, lhs=lhs, horizon=horizon)
 
 
-def classical_bound_forced(t, h1_sq, f_l2, ledger):
-    """Riccati-type forced bound (1 + h1_sq) / sqrt(1 - K t (1 + h1)^2)."""
-    return classical_forced_curve(h1_sq, f_l2, ledger).evaluate(t)
-
-
 def classical_forced_curve(h1_sq, f_l2, ledger):
+    """Riccati-type forced bound (1 + h1_sq) / sqrt(1 - K t (1 + h1)^2)."""
     rate = ledger.forced_growth_rate(f_l2)
     h1 = math.sqrt(h1_sq)
     horizon = math.inf if rate == 0.0 else 1.0 / (rate * (1.0 + h1) ** 2)
@@ -278,12 +274,8 @@ def classical_horizon_forced(h1_sq, f_l2, ledger):
     return 1.0 / (rate * (1.0 + h1_sq))
 
 
-def classical_bound_free(t, h1_sq, ledger):
-    """Force-free Riccati bound on |u(t)|_1^2, from the quartic-norm form."""
-    return classical_free_curve(h1_sq, ledger).evaluate(t)
-
-
 def classical_free_curve(h1_sq, ledger):
+    """Force-free Riccati bound on |u(t)|_1^2, from the quartic-norm form."""
     c = ledger.classical_free_coeff
     sq = h1_sq**2  # 0.0 also once a tiny h1_sq underflows
     horizon = math.inf if sq == 0.0 else 1.0 / (2.0 * c * sq)

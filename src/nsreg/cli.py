@@ -53,6 +53,7 @@ from .spectral import (
     SpectralVelocity,
     field_with_norms,
     make_wavegrid,
+    poincare_constant,
     random_divfree_field,
     shear_field,
     sobolev_norm,
@@ -438,12 +439,15 @@ def cmd_monitor(args):
     if not args.trace:
         raise UsageError("monitor requires --trace")
     meta_path = args.meta or os.path.join(os.path.dirname(args.trace), "meta.json")
-    if args.meta or os.path.exists(meta_path):
+    if args.meta or os.path.exists(meta_path):  # the run's nu and lam1 replace the flags
         meta = _load_json(meta_path)
         try:
-            args.nu = float(meta.get("config", {}).get("nu", args.nu))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{meta_path}: no numeric config.nu") from exc
+            config = meta.get("config", {})
+            args.nu = float(config.get("nu", args.nu))
+            if "L" in config:
+                args.lam1 = poincare_constant(float(config["L"]))
+        except (AttributeError, TypeError, ValueError) as exc:  # ConfigurationError too
+            raise ConfigurationError(f"{meta_path}: bad config.nu or config.L: {exc}") from exc
     trace = NormTrace.from_csv(args.trace, nu=args.nu)
     ledger = _ledger_from(args)
     report = None

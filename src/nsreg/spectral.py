@@ -164,7 +164,7 @@ class WaveGrid:
     @property
     def lam1(self):
         """Smallest positive eigenvalue of -Laplace on zero-mean fields."""
-        return self.scale**2
+        return poincare_constant(self.length)
 
     @property
     def volume(self):
@@ -193,6 +193,14 @@ class WaveGrid:
 
     def __repr__(self):
         return f"WaveGrid(n={self.n}, length={self.length!r})"
+
+
+def poincare_constant(length):
+    """(2*pi/length)^2: the smallest positive eigenvalue of -Laplace on
+    zero-mean fields of period ``length``, which must be positive and finite."""
+    if not (length > 0.0 and np.isfinite(length)):
+        raise ConfigurationError(f"domain period must be positive, got {length}")
+    return (TWO_PI / length) ** 2
 
 
 def make_wavegrid(n, length=TWO_PI):
@@ -250,21 +258,6 @@ class SpectralVelocity:
         return SpectralVelocity(self.grid, np.ascontiguousarray(coefficients))
 
 
-@dataclass(frozen=True)
-class RealVelocity:
-    """Collocation samples of a velocity field, shape (3, N, N, N) float64."""
-
-    grid: WaveGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n
-        if self.samples.shape != (3, n, n, n):
-            raise GridMismatchError(
-                f"samples shape {self.samples.shape} does not match grid n={n}"
-            )
-
-
 def hermitian_adjoint(arr):
     """conj(arr) evaluated at -k, in the same FFT layout."""
     rev = np.conj(arr[..., ::-1, ::-1, ::-1])
@@ -297,10 +290,9 @@ def hermitian_defect(arr):
 
 
 def to_physical(u):
-    """Inverse transform to collocation samples (imaginary part discarded)."""
-    n3 = u.grid.n_modes
-    samples = np.real(ifftn(u.coefficients, axes=(-3, -2, -1)) * n3)
-    return RealVelocity(u.grid, np.ascontiguousarray(samples))
+    """Collocation samples, a (3, N, N, N) float64 array (imaginary part discarded)."""
+    samples = np.real(ifftn(u.coefficients, axes=(-3, -2, -1)) * u.grid.n_modes)
+    return np.ascontiguousarray(samples)
 
 
 def from_physical(grid, samples):
@@ -310,65 +302,12 @@ def from_physical(grid, samples):
     return np.ascontiguousarray(fftn(samples, axes=(-3, -2, -1)) / grid.n_modes)
 
 
-def leray_project(coefficients, grid=None):
-    """Project a raw Hermitian coefficient field onto divergence-free modes.
-
-    Accepts either a ``SpectralVelocity`` (re-projection) or a raw
-    (3, N, N, N) coefficient array together with ``grid``.  Modewise:
-    uhat <- uhat - k (k . uhat) / |k|^2, and uhat(0) <- 0.  Idempotent.
-    """
-    if isinstance(coefficients, SpectralVelocity):
-        grid = coefficients.grid
-        raw = coefficients.coefficients
-    else:
-        if grid is None:
-            raise GridMismatchError("a grid is required when projecting a raw array")
-        raw = coefficients
-    out = np.array(raw, dtype=np.complex128, copy=True)
-    _kernels.leray_project_modes(out, grid.kx, grid.kx, grid.kx)
-    return SpectralVelocity(grid, out)
-
-
-def stokes_apply(u, power):
-    """Apply the power of the (minus-Laplace) operator: uhat *= |k|^(2*power).
-
-    ``power`` must be >= 0; inverse powers are rejected because the operator
-    is only positive on zero-mean fields.
-    """
-    if power < 0:
-        raise ValueError(f"operator power must be >= 0, got {power}")
-    if power == 0:
-        return u
-    weights = u.grid.ksq**power  # 0**p = 0 for p > 0
-    return SpectralVelocity(u.grid, np.ascontiguousarray(u.coefficients * weights))
-
-
-@dataclass(frozen=True)
-class EigenvalueTable:
-    """Distinct operator eigenvalues with lattice multiplicities."""
-
-    entries: tuple  # ((lam, multiplicity), ...) ascending, lam > 0
-    truncated: bool
-
-
-def stokes_eigenvalues(grid, count):
-    """First ``count`` distinct eigenvalues |k|^2 * (2*pi/L)^2 with multiplicities.
-
-    If the grid resolves fewer than ``count`` distinct values the table is
-    returned in full with ``truncated=True``.
-    """
-    if count < 1:
-        raise ConfigurationError(f"eigenvalue count must be >= 1, got {count}")
-    values, counts = np.unique(grid.ksq_int.ravel(), return_counts=True)
-    nz = values > 0
-    values, counts = values[nz], counts[nz]
-    truncated = count > len(values)
-    take = min(count, len(values))
-    entries = tuple(
-        (float(v * grid.scale**2), int(c))
-        for v, c in zip(values[:take], counts[:take])
-    )
-    return EigenvalueTable(entries, truncated)
+def leray_project(u):
+    """Project a field onto divergence-free modes, modewise
+    uhat <- uhat - k (k . uhat) / |k|^2 and uhat(0) <- 0.  Idempotent."""
+    out = np.array(u.coefficients, copy=True)
+    _kernels.leray_project_modes(out, u.grid.kx, u.grid.kx, u.grid.kx)
+    return SpectralVelocity(u.grid, out)
 
 
 def sobolev_norm(u, m):

@@ -23,8 +23,6 @@ from nsreg import (
     arctan_bound_free,
     arctan_bound_steady,
     arctan_bound_timedep,
-    classical_bound_forced,
-    classical_bound_free,
     classical_forced_curve,
     classical_free_curve,
     classical_horizon_forced,
@@ -155,7 +153,7 @@ def test_forced_growth_rate(ledger):
 # ------------------------------------------------------- classical (forced)
 
 def test_classical_forced_at_zero(ledger):
-    assert classical_bound_forced(0.0, 2.5, 1.0, ledger) == pytest.approx(3.5)
+    assert classical_forced_curve(2.5, 1.0, ledger).evaluate(0.0) == pytest.approx(3.5)
 
 
 def test_classical_forced_horizon_example(ledger):
@@ -186,7 +184,7 @@ def test_classical_forced_rejects_beyond_validity(ledger):
 # --------------------------------------------------------- classical (free)
 
 def test_classical_free_at_zero(ledger):
-    assert classical_bound_free(0.0, 0.7, ledger) == pytest.approx(0.7, rel=1e-12)
+    assert classical_free_curve(0.7, ledger).evaluate(0.0) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_classical_free_horizon_anchor():

@@ -715,6 +715,24 @@ def test_monitor_meta_without_numeric_viscosity(shear_run, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("length", ['"wide"', "null", "0", "-20"])
+def test_monitor_meta_with_bad_period(shear_run, tmp_path, length):
+    path = tmp_path / "meta.json"
+    path.write_text('{"config": {"nu": 1.0, "L": %s}}' % length)
+    code = run(["monitor", "--trace", shear_run / "trace.csv", "--meta", path])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("init", [["--init", "zero"], ["--amplitude", "5", "--f-amp", "2"]])
+def test_monitor_takes_lam1_from_the_run(tmp_path, init):
+    # on a box of period 20, lam1 = (2 pi / 20)^2 = 0.0987; the default
+    # --lam1 1 overstates the energy decay and fails the cumulative check
+    out = tmp_path / "run"
+    assert run(["simulate", "--L", "20", "--N", "8", "--forcing", "kolmogorov", "--T", "10",
+                "--dt", "1e-2", *init, "--out", out]) == EXIT_OK
+    assert run(["monitor", "--trace", out / "trace.csv", "--lam1", "1"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("payload", [
     '{"kind": "arctan_free", "lhs": 4.6, "satisfied": true, "horizon": null}',
     '{"kind": "classical_free", "lhs": 0.1, "satisfied": true, "horizon": null}',

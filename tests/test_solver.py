@@ -130,7 +130,7 @@ def field_beyond_band(grid, seed, amplitude):
     nyquist = np.abs(grid.k_int) == grid.n // 2
     spec = from_physical(grid, noise)
     spec[:, nyquist] = spec[:, :, nyquist] = spec[..., nyquist] = 0.0
-    raw = leray_project(spec, grid)
+    raw = leray_project(SpectralVelocity(grid, spec))
     return raw.copy_with(raw.coefficients * (amplitude / sobolev_norm(raw, 0)))
 
 

@@ -20,8 +20,6 @@ from nsreg import (
     save_field,
     shear_field,
     sobolev_norm,
-    stokes_apply,
-    stokes_eigenvalues,
     to_physical,
     trilinear_b,
 )
@@ -239,7 +237,7 @@ def test_leray_kills_pure_gradient(grid8):
     raw = np.zeros((3, n, n, n), dtype=np.complex128)
     raw[0, 1, 0, 0] = 1.0  # uhat parallel to k = (1, 0, 0)
     raw[0, n - 1, 0, 0] = 1.0
-    out = leray_project(raw, grid8)
+    out = leray_project(SpectralVelocity(grid8, raw))
     assert np.abs(out.coefficients).max() == 0.0
 
 
@@ -248,7 +246,7 @@ def test_leray_keeps_transverse_mode(grid8):
     raw = np.zeros((3, n, n, n), dtype=np.complex128)
     raw[1, 1, 0, 0] = 1.0  # uhat perpendicular to k = (1, 0, 0)
     raw[1, n - 1, 0, 0] = 1.0
-    out = leray_project(raw, grid8)
+    out = leray_project(SpectralVelocity(grid8, raw))
     assert np.allclose(out.coefficients, raw, atol=0, rtol=0)
 
 
@@ -256,7 +254,7 @@ def test_leray_output_divergence_free(grid16):
     rng = np.random.default_rng(42)
     noise = rng.standard_normal((3, 16, 16, 16))
     raw = np.fft.fftn(noise, axes=(-3, -2, -1)) / 16**3
-    out = leray_project(np.ascontiguousarray(raw), grid16)
+    out = leray_project(SpectralVelocity(grid16, np.ascontiguousarray(raw)))
     c = out.coefficients
     g = grid16
     div = (
@@ -275,86 +273,47 @@ def test_leray_idempotent(seed):
     g = make_wavegrid(8)
     rng = np.random.default_rng(seed)
     raw = np.fft.fftn(rng.standard_normal((3, 8, 8, 8)), axes=(-3, -2, -1)) / 512
-    once = leray_project(np.ascontiguousarray(raw), g)
+    once = leray_project(SpectralVelocity(g, np.ascontiguousarray(raw)))
     twice = leray_project(once)
     peak = np.abs(once.coefficients).max()
     assert np.abs(twice.coefficients - once.coefficients).max() <= 1e-15 * peak
 
 
-# ------------------------------------------------------------ stokes operator
-
-def test_stokes_single_frequency_eigenfunction(grid8):
-    u = shear_field(grid8, 2.0)
-    out = stokes_apply(u, 1.0)
-    assert np.allclose(out.coefficients, u.coefficients, rtol=0, atol=1e-16)
-
-
-def test_stokes_power_zero_is_identity(grid8):
-    u = random_divfree_field(grid8, 3)
-    assert stokes_apply(u, 0.0) is u
-
-
-def test_stokes_half_power_scales_by_mode_length(grid8):
-    n = grid8.n
-    raw = np.zeros((3, n, n, n), dtype=np.complex128)
-    raw[2, 1, 1, 0] = 1.0 - 0.5j  # k = (1, 1, 0), |k| = sqrt(2)
-    raw[2, n - 1, n - 1, 0] = 1.0 + 0.5j
-    u = SpectralVelocity(grid8, raw)
-    out = stokes_apply(u, 0.5)
-    assert np.allclose(out.coefficients, np.sqrt(2.0) * raw)
-
-
-def test_stokes_rejects_negative_power(grid8):
-    with pytest.raises(ValueError):
-        stokes_apply(shear_field(grid8), -0.5)
-
-
-def test_eigenfunction_identity_for_every_low_shell(grid8):
-    # modewise A u = |k|^2 u for single-mode solenoidal fields
-    n = grid8.n
-    for k, lam in (((1, 0, 0), 1.0), ((1, 1, 0), 2.0), ((1, 1, 1), 3.0)):
-        raw = np.zeros((3, n, n, n), dtype=np.complex128)
-        vec = np.array([k[1], -k[0], 0.0]) if k[:2] != (0, 0) else np.array([1.0, 0, 0])
-        for comp in range(3):
-            raw[comp, k[0], k[1], k[2]] = vec[comp]
-            raw[comp, -k[0] % n, -k[1] % n, -k[2] % n] = vec[comp]
-        u = SpectralVelocity(grid8, raw)
-        out = stokes_apply(u, 1.0)
-        assert np.allclose(out.coefficients, lam * raw)
-
+# ------------------------------------------------------ stokes eigenvalues
 
 def test_stokes_eigenvalues_default_domain(grid16):
-    table = stokes_eigenvalues(grid16, 6)
-    lams = [lam for lam, _ in table.entries]
-    assert lams[0] == 1.0
-    assert lams[:6] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    assert not table.truncated
+    # |k|^2 on the 2 pi box: lam1 = 1, and the lowest shell has 6 modes
+    assert grid16.lam1 == 1.0
+    values = np.unique(grid16.ksq)
+    assert values[1:7].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert (grid16.ksq_int == 1).sum() == 6
 
 
 def test_stokes_eigenvalues_multiplicities_by_enumeration(grid8):
     # independent oracle: enumerate the integer lattice directly
     import itertools
 
-    table = stokes_eigenvalues(grid8, 4)
     counts = {}
     for kx, ky, kz in itertools.product(range(-4, 4), repeat=3):
         s = kx * kx + ky * ky + kz * kz
-        if s:
-            counts[s] = counts.get(s, 0) + 1
-    for lam, mult in table.entries:
-        assert mult == counts[int(lam)]
+        counts[s] = counts.get(s, 0) + 1
+    values, mults = np.unique(grid8.ksq_int, return_counts=True)
+    assert dict(zip(values.tolist(), mults.tolist())) == counts
 
 
 def test_stokes_eigenvalues_scaled_domain():
     g = make_wavegrid(8, math.pi)
-    table = stokes_eigenvalues(g, 1)
-    assert table.entries[0][0] == pytest.approx(4.0, rel=1e-15)
+    assert g.lam1 == 4.0
+    assert np.unique(g.ksq)[1] == 4.0
 
 
-def test_stokes_eigenvalues_truncation_flag(grid8):
-    table = stokes_eigenvalues(grid8, 10_000)
-    assert table.truncated
-    assert len(table.entries) > 1
+@pytest.mark.parametrize("name", ["stokes_apply", "stokes_eigenvalues", "EigenvalueTable",
+                                  "RealVelocity", "classical_bound_free", "classical_bound_forced"])
+def test_names_without_callers_stay_removed(name):
+    import nsreg.bounds
+    import nsreg.spectral
+
+    assert not any(hasattr(module, name) for module in (nsreg, nsreg.spectral, nsreg.bounds))
 
 
 # ----------------------------------------------------------------- norms
@@ -383,11 +342,6 @@ def test_sobolev_norm_fractional_order(grid16):
     # on a single-frequency field every order gives the same value
     u = shear_field(grid16, 2.0)
     assert sobolev_norm(u, 0.5) == pytest.approx(sobolev_norm(u, 0), rel=1e-14)
-
-
-def test_stokes_eigenvalues_rejects_zero_count(grid8):
-    with pytest.raises(ConfigurationError):
-        stokes_eigenvalues(grid8, 0)
 
 
 def test_parseval_against_physical_quadrature(rand_field):
@@ -439,7 +393,7 @@ def test_trilinear_closed_form_value(grid16):
     for sx in (1, n - 1):
         for sy in (1, n - 1):
             wraw[1, sx, sy, 0] = 0.5 * (-0.5j if sy == 1 else 0.5j)
-    w = leray_project(wraw, grid16)
+    w = leray_project(SpectralVelocity(grid16, wraw))
     value = trilinear_b(u, v, w)
     assert value == pytest.approx(math.pi**3, rel=1e-12)
 
@@ -608,8 +562,9 @@ def test_round_trip_physical(rand_field):
     from nsreg import from_physical
 
     u = rand_field(61)
-    r = to_physical(u)
-    back = from_physical(u.grid, r.samples)
+    samples = to_physical(u)
+    assert samples.shape == (3, 16, 16, 16) and samples.dtype == np.float64
+    back = from_physical(u.grid, samples)
     assert np.abs(back - u.coefficients).max() <= 1e-13
 
 
