@@ -451,7 +451,10 @@ def interval_comparison(h1_sq, l2_values, ledger, t_star=None):
     criterion certifies all t > 0 while the horizon is finite.  The
     ``printed_*`` columns use the literature's square-root form of the
     criterion with window ``t_star`` (default: the classical horizon, where
-    the two forms coincide).
+    the two forms coincide).  Both are the pinned calibration's
+    ``nu^3/128``, whatever the ledger's embedding constants: they become
+    ``classical_free_curve(...).horizon`` once the default ledger makes
+    c6 exactly 64 (today it is 63.99999999999996).
 
     ``threshold_l2`` is the largest |u0| the criterion admits at this
     h1_sq: sqrt((pi/2 - arctan(h1_sq)) / c11).

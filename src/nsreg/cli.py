@@ -12,7 +12,7 @@ Exit codes: 0 success (a reported blowup is a success), 2 monitor
 violation, 3 solver diagnostic failure or lost solver invariant,
 64 usage/configuration error, 65 inconsistent norm inputs, a trace too
 short or too coarse to check, or malformed JSON, 66 missing or unreadable
-file.
+file, a run's meta.json included.
 """
 
 import argparse
@@ -112,14 +112,7 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _ledger_from(args):
-    return derive_constants(args.nu, args.lam1, args.c_sobolev, args.c_interp)
-
-
-def _add_ledger_flags(p):
-    p.add_argument("--nu", type=_finite, default=1.0, help="kinematic viscosity")
-    p.add_argument("--lam1", type=_finite, default=1.0,
-                   help="smallest positive eigenvalue of the diffusion operator")
+def _add_calibration_flags(p):
     p.add_argument("--c-sobolev", type=_finite, default=DEFAULT_C_SOBOLEV,
                    help="L6 embedding constant (default: pinned calibration)")
     p.add_argument("--c-interp", type=_finite, default=DEFAULT_C_INTERP,
@@ -169,10 +162,14 @@ def build_parser():
     p.add_argument("--f", type=_finite, default=None, help="steady force L2 norm")
     p.add_argument("--intf2", type=_finite, default=None,
                    help="time integral of the squared force norm")
-    _add_ledger_flags(p)
+    p.add_argument("--nu", type=_finite, default=1.0, help="kinematic viscosity")
+    p.add_argument("--lam1", type=_finite, default=1.0,
+                   help="smallest positive eigenvalue of the diffusion operator")
+    _add_calibration_flags(p)
 
     p = sub.add_parser("compare", help="classical horizon vs global criterion sweep")
     _add_common(p)
+    p.add_argument("--nu", type=_finite, default=1.0, help="kinematic viscosity")
     p.add_argument("--h1sq", type=_finite, default=1.0, help="fixed squared H1 norm")
     p.add_argument("--l2-sweep", default="1,0.1,0.01",
                    help="comma-separated initial L2 norms")
@@ -182,11 +179,11 @@ def build_parser():
     p.add_argument("--simulate", action="store_true",
                    help="attach a monitored simulation to each sweep point")
     p.add_argument("--N", type=int, default=16)
-    p.add_argument("--L", type=_finite, default=2.0 * math.pi)
+    p.add_argument("--L", type=_finite, default=2.0 * math.pi,
+                   help="domain period; the ledger's lam1 is (2 pi / L)^2")
     p.add_argument("--T", type=_finite, default=1.0, help="simulation length")
     p.add_argument("--dt", type=_finite, default=2e-3)
     p.add_argument("--seed", type=int, default=0)
-    _add_ledger_flags(p)
 
     p = sub.add_parser("calibrate", help="empirical embedding-constant lower bounds")
     _add_common(p)
@@ -197,16 +194,16 @@ def build_parser():
     p.add_argument("--slope", type=_finite, default=-2.0)
     p.add_argument("--oversample", type=int, default=4,
                    help="quadrature oversampling factor (>= 2)")
-    p.add_argument("--c-sobolev", type=_finite, default=DEFAULT_C_SOBOLEV)
-    p.add_argument("--c-interp", type=_finite, default=DEFAULT_C_INTERP)
+    _add_calibration_flags(p)
 
     p = sub.add_parser("monitor", help="verify inequality chain along a trace")
     _add_common(p)
     p.add_argument("--trace", help="trace.csv produced by simulate")
-    p.add_argument("--meta", help="meta.json of the run (default: next to trace)")
+    p.add_argument("--meta", help="meta.json of the run, the source of nu and lam1 "
+                                  "(default: next to trace)")
     p.add_argument("--report", help="criterion report.json for bound dominance")
     p.add_argument("--solver-rel-tol", type=_finite, default=None)
-    _add_ledger_flags(p)
+    _add_calibration_flags(p)
 
     return parser
 
@@ -336,7 +333,7 @@ def cmd_simulate(args):
 
 
 def cmd_bounds(args):
-    ledger = _ledger_from(args)
+    ledger = derive_constants(args.nu, args.lam1, args.c_sobolev, args.c_interp)
     if not (args.free or args.steady or args.timedep):
         raise UsageError("choose one of --free, --steady, --timedep")
     inputs = CriterionInput(l2=args.l2, h1_sq=args.h1sq, f_l2=args.f, int_f_sq=args.intf2)
@@ -371,7 +368,7 @@ def _compare_csv(table, sims):
 
 
 def cmd_compare(args):
-    ledger = _ledger_from(args)
+    ledger = derive_constants(args.nu, poincare_constant(args.L))  # the grid's box
     try:
         sweep = [float(tok) for tok in args.l2_sweep.split(",") if tok.strip()]
     except ValueError as exc:
@@ -438,18 +435,17 @@ def cmd_calibrate(args):
 def cmd_monitor(args):
     if not args.trace:
         raise UsageError("monitor requires --trace")
+    open(args.trace).close()  # a missing trace is named before its meta.json
     meta_path = args.meta or os.path.join(os.path.dirname(args.trace), "meta.json")
-    if args.meta or os.path.exists(meta_path):  # the run's nu and lam1 replace the flags
-        meta = _load_json(meta_path)
-        try:
-            config = meta.get("config", {})
-            args.nu = float(config.get("nu", args.nu))
-            if "L" in config:
-                args.lam1 = poincare_constant(float(config["L"]))
-        except (AttributeError, TypeError, ValueError) as exc:  # ConfigurationError too
-            raise ConfigurationError(f"{meta_path}: bad config.nu or config.L: {exc}") from exc
-    trace = NormTrace.from_csv(args.trace, nu=args.nu)
-    ledger = _ledger_from(args)
+    meta = _load_json(meta_path)
+    try:  # the run's nu, and lam1 from its period
+        nu = float(meta["config"]["nu"])
+        lam1 = poincare_constant(float(meta["config"]["L"]))
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError too
+        raise ConfigurationError(f"{meta_path}: missing or bad config.nu or config.L: "
+                                 f"{exc!r}") from exc
+    trace = NormTrace.from_csv(args.trace, nu=nu)
+    ledger = derive_constants(nu, lam1, args.c_sobolev, args.c_interp)
     report = None
     if args.report:
         report = CriterionReport.from_json_dict(_load_json(args.report))

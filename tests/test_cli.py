@@ -36,6 +36,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def with_box_meta(trace_path):
+    """Write next to a hand-made trace the meta.json of a run on the default box."""
+    (trace_path.parent / "meta.json").write_text(
+        json.dumps({"config": {"nu": 1.0, "L": 2.0 * math.pi}}))
+    return trace_path
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_shear_energy_ratio(tmp_path):
@@ -345,6 +352,18 @@ def test_compare_poincare_violation():
     assert run(["compare", "--h1sq", "1", "--l2-sweep", "5"]) == EXIT_NORM_INCONSISTENT
 
 
+def test_compare_takes_lam1_from_its_box(tmp_path):
+    # the period-20 box has lam1 = (2 pi / 20)^2 = 0.0987, so h1_sq = 0.0005
+    # over l2 = 0.05 is feasible there, though below the 2 pi box's line 0.0025
+    out = tmp_path / "cmp"
+    assert run(["compare", "--h1sq", "0.0005", "--l2-sweep", "0.05", "--simulate",
+                "--L", "20", "--N", "8", "--T", "2", "--dt", "1e-2", "--out", out]) == EXIT_OK
+    (sim,) = read_json(out / "report.json")["simulations"]
+    assert sim["status"] == "completed"
+    row = (out / "compare.csv").read_text().splitlines()[1]
+    assert row.split(",")[-2] == "1"  # sim_monitor_passed
+
+
 # ---------------------------------------------------------------- calibrate
 
 def test_calibrate_cli(tmp_path):
@@ -406,7 +425,7 @@ def test_monitor_trace_outside_the_certified_window(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("t,l2_sq,h1_sq,h2_sq,f_dot_u,int_h1_sq,int_f_sq,residual\n"
                      + "".join(f"{t},0.0025,0.0025,0.0025,0,0,0,0\n" for t in (0.5, 0.6, 0.7)))
-    code = run(["monitor", "--trace", trace, "--report", rep_dir / "report.json"])
+    code = run(["monitor", "--trace", with_box_meta(trace), "--report", rep_dir / "report.json"])
     assert code == EXIT_NORM_INCONSISTENT  # no sample to check: never a PASS
     assert "window" in capsys.readouterr().err
 
@@ -425,7 +444,7 @@ def test_monitor_violation_exit_code(tmp_path):
                              (t[i], y[i], y[i], y[i], f_dot_u[i], cum[i], 0.0, 0.0)))
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text("\n".join(rows) + "\n")
-    code = run(["monitor", "--trace", trace_path])
+    code = run(["monitor", "--trace", with_box_meta(trace_path)])
     assert code == EXIT_VIOLATION
 
 
@@ -441,7 +460,7 @@ def test_monitor_solver_diagnostic_exit_code(tmp_path):
                              (t[i], z[i], z[i], z[i], zeros[i], cum[i], 0.0, 0.0)))
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text("\n".join(rows) + "\n")
-    assert run(["monitor", "--trace", trace_path]) == EXIT_SOLVER_DIAGNOSTIC
+    assert run(["monitor", "--trace", with_box_meta(trace_path)]) == EXIT_SOLVER_DIAGNOSTIC
 
 
 def test_monitor_coarse_trace_is_not_a_solver_failure(tmp_path, capsys):
@@ -578,8 +597,7 @@ def test_corrupted_config_is_usage_error(tmp_path_factory, command, data):
 FLOAT_FLAGS = {
     "bounds": ["--l2", "--h1sq", "--T", "--f", "--intf2", "--nu", "--lam1", "--c-sobolev",
                "--c-interp"],
-    "compare": ["--h1sq", "--l2-sweep", "--t-star", "--L", "--T", "--dt", "--nu", "--lam1",
-                "--c-sobolev", "--c-interp"],
+    "compare": ["--h1sq", "--l2-sweep", "--t-star", "--L", "--T", "--dt", "--nu"],
 }
 EXTREME = st.builds("{}e{}".format, st.integers(1, 9),
                     st.integers(150, 308) | st.integers(-308, -150))
@@ -641,13 +659,13 @@ def test_monitor_missing_explicit_meta(shear_run, tmp_path):
 def test_monitor_one_sample_trace(shear_run, tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("".join((shear_run / "trace.csv").read_text().splitlines(True)[:2]))
-    assert run(["monitor", "--trace", path]) == EXIT_NORM_INCONSISTENT
+    assert run(["monitor", "--trace", with_box_meta(path)]) == EXIT_NORM_INCONSISTENT
 
 
 def test_monitor_undecodable_trace(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(b"\xff\xfe\x00abc\n")
-    assert run(["monitor", "--trace", path]) == EXIT_USAGE
+    assert run(["monitor", "--trace", with_box_meta(path)]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("flag", ["--h1-tol", "--energy-tol", "--solver-rel-tol",
@@ -656,15 +674,30 @@ def test_monitor_rejects_non_finite_tolerance(shear_run, flag):
     assert run(["monitor", "--trace", shear_run / "trace.csv", flag, "nan"]) == EXIT_USAGE
 
 
+def _assert_no_option(argv, key, cfg, capsys):
+    """``key`` is neither a flag nor a config key of the command ``argv`` runs."""
+    assert run(argv + [f"--{key}", "1"]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg.write_text(f"{key} = 1\n")
+    assert run(argv + ["--config", cfg]) == EXIT_USAGE
+    assert "unknown option" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["h1-tol", "energy-tol", "dominance-rel-tol"])
 def test_monitor_has_no_check_tolerance_options(shear_run, tmp_path, capsys, key):
-    trace = shear_run / "trace.csv"
-    assert run(["monitor", "--trace", trace, f"--{key}", "1"]) == EXIT_USAGE
-    assert "unrecognized arguments" in capsys.readouterr().err
-    cfg = tmp_path / "mon.cfg"
-    cfg.write_text(f"{key} = 1\n")
-    assert run(["monitor", "--trace", trace, "--config", cfg]) == EXIT_USAGE
-    assert "unknown option" in capsys.readouterr().err
+    argv = ["monitor", "--trace", shear_run / "trace.csv"]
+    _assert_no_option(argv, key, tmp_path / "mon.cfg", capsys)
+
+
+# the run fixes these: monitor reads nu and lam1 from its meta.json, and
+# compare takes lam1 from --L and uses the pinned calibration
+@pytest.mark.parametrize("command, key", [
+    ("monitor", "nu"), ("monitor", "lam1"),
+    ("compare", "lam1"), ("compare", "c-sobolev"), ("compare", "c-interp"),
+])
+def test_no_option_for_a_constant_the_run_fixes(shear_run, tmp_path, capsys, command, key):
+    argv = ["monitor", "--trace", shear_run / "trace.csv"] if command == "monitor" else [command]
+    _assert_no_option(argv, key, tmp_path / "run.cfg", capsys)
 
 
 def test_monitor_violation_cannot_be_tolerated_away(tmp_path):
@@ -682,7 +715,7 @@ def test_monitor_non_numeric_trace_cell(shear_run, tmp_path):
     lines[3] = "abc" + lines[3][lines[3].index(","):]
     path = tmp_path / "trace.csv"
     path.write_text("".join(lines))
-    assert run(["monitor", "--trace", path]) == EXIT_USAGE
+    assert run(["monitor", "--trace", with_box_meta(path)]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("flag", ["--report", "--meta"])
@@ -697,7 +730,7 @@ def test_monitor_truncated_json(shear_run, tmp_path, flag):
 def test_monitor_json_error_names_the_file(shear_run, tmp_path, capsys, broken):
     files = {"report": tmp_path / "report.json", "meta": tmp_path / "meta.json"}
     files["report"].write_text('{"kind": "arctan_free", "lhs": 0.5, "horizon": null}')
-    files["meta"].write_text('{"config": {"nu": 1.0}}')
+    files["meta"].write_text('{"config": {"nu": 1.0, "L": 6.283185307179586}}')
     files[broken].write_text('{"kind": "arctan_free", "lhs": 0.5, "sat')
     code = run(["monitor", "--trace", shear_run / "trace.csv",
                 "--report", files["report"], "--meta", files["meta"]])
@@ -706,6 +739,20 @@ def test_monitor_json_error_names_the_file(shear_run, tmp_path, capsys, broken):
     assert err.startswith(f"nsreg: malformed JSON: {files[broken]}: ")
     other = files["meta" if broken == "report" else "report"]
     assert str(other) not in err
+
+
+def test_monitor_trace_without_meta(shear_run, tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text((shear_run / "trace.csv").read_text())
+    assert run(["monitor", "--trace", path]) == EXIT_NO_INPUT
+    assert str(tmp_path / "meta.json") in capsys.readouterr().err
+
+
+def test_monitor_meta_without_period(shear_run, tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text('{"config": {"nu": 1.0}}')
+    code = run(["monitor", "--trace", shear_run / "trace.csv", "--meta", path])
+    assert code == EXIT_USAGE
 
 
 def test_monitor_meta_without_numeric_viscosity(shear_run, tmp_path):
@@ -725,12 +772,12 @@ def test_monitor_meta_with_bad_period(shear_run, tmp_path, length):
 
 @pytest.mark.parametrize("init", [["--init", "zero"], ["--amplitude", "5", "--f-amp", "2"]])
 def test_monitor_takes_lam1_from_the_run(tmp_path, init):
-    # on a box of period 20, lam1 = (2 pi / 20)^2 = 0.0987; the default
-    # --lam1 1 overstates the energy decay and fails the cumulative check
+    # on a box of period 20, lam1 = (2 pi / 20)^2 = 0.0987; lam1 = 1 would
+    # overstate the energy decay and fail the cumulative check
     out = tmp_path / "run"
     assert run(["simulate", "--L", "20", "--N", "8", "--forcing", "kolmogorov", "--T", "10",
                 "--dt", "1e-2", *init, "--out", out]) == EXIT_OK
-    assert run(["monitor", "--trace", out / "trace.csv", "--lam1", "1"]) == EXIT_OK
+    assert run(["monitor", "--trace", out / "trace.csv"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("payload", [
@@ -782,7 +829,7 @@ def test_monitor_corrupted_trace_never_passes(shear_run, data):
     path.parent.mkdir(exist_ok=True)
     path.write_text(_mutate(lines, data.draw))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = run(["monitor", "--trace", path])
+        code = run(["monitor", "--trace", with_box_meta(path)])
     assert code in (EXIT_USAGE, EXIT_NORM_INCONSISTENT)
 
 
