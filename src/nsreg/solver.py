@@ -10,8 +10,12 @@ Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
 option).  A run converts the public full layout to the dealias band (see
 :mod:`nsreg.spectral`) at entry and back at exit, and holds its state on
 the band in between: stages, samples, invariant checks and the CFL speed
-all work there.  Content of the initial field outside the band never
-enters the right-hand side, so it only decays, exactly as
+all work there.  After each step of a run the state's kz = 0 plane is
+replaced by its Hermitian part, as :func:`spectral.from_band` does for
+:func:`step`, so the plane is Hermitian by construction and on the band
+a run is a loop of :func:`step` bit for bit.  Content of the initial
+field outside the band never enters the right-hand side, so it only
+decays, exactly as
 r0 exp(-nu |k|^2 t); its norms are added per sample from shell sums and
 it is added back to the final state once.  Every accepted step
 appends L2/H1/H2 norms, the force inner product, and trapezoidal running
@@ -39,6 +43,7 @@ from .spectral import (
     flux_contraction,
     from_band,
     hermitian_adjoint,
+    hermitian_plane,
     shear_field,
     to_band,
 )
@@ -308,21 +313,22 @@ class _Stepper:
         b_full, b_half = self._factors(dt)
         if self.config.integrator == "if_rk4":
             # each stage is dropped once used; b_full n1 + 2 b_half (n2 + n3)
-            # is formed before stage 4, in the order of the RK4 combine
+            # is formed before u4, in the order of the RK4 combine, so stage 4
+            # starts with one band array fewer alive
             u2 = b_half * (c + (0.5 * dt) * n1)
             n2 = self.rhs(u2, t + 0.5 * dt)
             del u2
             u3 = b_half * c + (0.5 * dt) * n2
             n3 = self.rhs(u3, t + 0.5 * dt)
             del u3
-            decayed = b_full * c
-            u4 = decayed + dt * b_half * n3
-            n2 += n3
-            del n3
             acc = b_full * n1
             del n1
+            n2 += n3
             acc += 2.0 * b_half * n2
             del n2
+            decayed = b_full * c
+            u4 = decayed + dt * b_half * n3
+            del n3
             n4 = self.rhs(u4, t + dt)
             del u4
             acc += n4
@@ -330,7 +336,10 @@ class _Stepper:
         else:
             u2 = b_full * (c + dt * n1)
             n2 = self.rhs(u2, t + dt)
-            new = b_full * c + (0.5 * dt) * (b_full * n1 + n2)
+            del u2
+            n2 += b_full * n1  # the sum b_full n1 + n2, bit for bit, in n2's buffer
+            del n1
+            new = b_full * c + (0.5 * dt) * n2
         return new, dt
 
 
@@ -457,6 +466,8 @@ def simulate(u0, forcing, config):
     while t < t_end * (1.0 - 1e-12):
         with np.errstate(over="ignore", invalid="ignore"):
             new, dt = stepper.step(c, t, min(config.dt, t_end - t))
+            # as step() does through from_band, so a run is a loop of step() bit for bit
+            new[..., 0] = hermitian_plane(new)
         t_new = t + dt
         if not _check_invariants(grid, new, t_new):
             termination = "blowup"

@@ -249,13 +249,25 @@ class SpectralVelocity:
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")
         g = self.grid
-        worst = float(np.abs(_kernels.divergence(c, g.kx, g.kx, g.kx)[0]).max())
-        if worst > 1e-12 * peak * float(np.sqrt(g.ksq.max())):
+        worst = _worst_divergence(c, g.kx, g.kx)
+        if worst > _divergence_tolerance(g, peak):
             raise ValueError(f"field is not divergence-free: max |k.uhat| = {worst:g}")
         return self
 
     def copy_with(self, coefficients):
         return SpectralVelocity(self.grid, np.ascontiguousarray(coefficients))
+
+
+def _worst_divergence(c, kxy, kz):
+    """max_k |k . c(k)| of (3, ...) coefficients, with wavenumbers ``kxy``
+    along x and y and ``kz`` along z, as a float."""
+    return float(np.abs(_kernels.divergence(c, kxy, kxy, kz)[0]).max())
+
+
+def _divergence_tolerance(grid, peak):
+    """Largest max |k . uhat| :meth:`SpectralVelocity.validate` accepts for
+    a field of largest coefficient modulus ``peak``."""
+    return 1e-12 * peak * float(np.sqrt(grid.ksq.max()))
 
 
 def hermitian_adjoint(arr):
@@ -455,22 +467,43 @@ def to_band(coefficients, grid):
     return coefficients[..., index[:, None], index, : grid.kc]
 
 
+def _conj_mirror(band):
+    """conj(band) at (-kx, -ky), plane by plane in kz: a new array."""
+    b = band.shape[-2]
+    neg = -np.arange(b) % b  # band index of -k along x and along y
+    mirror = band.take(neg, axis=-3).take(neg, axis=-2)
+    return np.conjugate(mirror, out=mirror)
+
+
+def hermitian_plane(band):
+    """Hermitian part of a band's kz = 0 plane, shape (..., B, B): a new array.
+
+    The plane holds both modes of every conjugate pair, k and -k; its
+    Hermitian part 0.5 (uhat(k) + conj(uhat(-k))) has the symmetry bit
+    for bit, and equals the plane when the plane already has it.
+    """
+    plane = band[..., :1]
+    part = _conj_mirror(plane)
+    part += plane
+    part *= 0.5
+    return part[..., 0]
+
+
 def from_band(band, grid, out=None):
     """Full-layout coefficients of a band, exactly Hermitian on the band.
 
     Writes the band into ``out`` (new zeros when None) and fills its modes
-    with kz < 0 from uhat(-k) = conj(uhat(k)).  The plane kz = 0 holds both
-    modes of every conjugate pair; it is replaced by its Hermitian part, so
-    the result has the symmetry bit for bit.
+    with kz < 0 from uhat(-k) = conj(uhat(k)).  The plane kz = 0 is
+    replaced by :func:`hermitian_plane`, so the result has the symmetry
+    bit for bit.
     """
     n, kc, index = grid.n, grid.kc, grid.band_index
     if out is None:
         out = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
-    mirror = np.conj(np.roll(band[..., ::-1, ::-1, :], 1, axis=(-3, -2)))  # conj at (-kx, -ky)
     rows = index[:, None]
     out[..., rows, index, :kc] = band
-    out[..., rows, index, n - kc + 1:] = mirror[..., :0:-1]
-    out[..., rows, index, 0] = 0.5 * (band[..., 0] + mirror[..., 0])
+    out[..., rows, index, n - kc + 1:] = _conj_mirror(band[..., 1:])[..., ::-1]
+    out[..., rows, index, 0] = hermitian_plane(band)
     return out
 
 
@@ -491,7 +524,15 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     """Deterministic random solenoidal field with |uhat(k)| ~ |k|^(slope/2).
 
     Modes outside the dealias band are zero; the result is normalized so its
-    L2 norm equals ``amplitude`` exactly (zero field for amplitude 0).
+    L2 norm equals ``amplitude`` exactly (zero field for amplitude 0).  An
+    amplitude so small (or, on a tiny box, so large) that the scaled field
+    would fail :meth:`SpectralVelocity.validate` raises
+    :class:`ConfigurationError`.
+
+    The noise is drawn into the grid's transform workspace and taken to
+    the dealias band in two FFT calls (:func:`physical_to_band`); the
+    projection, shaping and norm act on the band only, and the field is
+    written once, by :func:`from_band`.
     """
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ConfigurationError(f"amplitude must be finite and >= 0, got {amplitude}")
@@ -501,29 +542,45 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     if amplitude == 0.0:
         return SpectralVelocity(grid, np.zeros((3, n, n, n), dtype=np.complex128))
     rng = np.random.default_rng(seed)
-    # one buffer: the spectrum of the noise is divided by N^3, projected,
-    # shaped and scaled in place, each step as from_physical, leray_project
-    # and the out-of-place arithmetic would do it
-    c = fftn(rng.standard_normal((3, n, n, n)), axes=(-3, -2, -1))
-    c /= grid.n_modes
-    _kernels.leray_project_modes(c, grid.kx, grid.kx, grid.kx)
+    c = np.empty((3,) + grid.ksq_band.shape, dtype=np.complex128)
+    _, _, flux, spec, _ = work = grid.take_workspace()
+    try:
+        # the noise on buffer X, its z spectrum on buffer Y: they must not share one
+        noise = rng.standard_normal(out=flux[:3])
+        physical_to_band(noise, grid, spec[:3], c)
+    finally:
+        grid.give_back_workspace(work)
+    c[..., 0] = hermitian_plane(c)  # real noise: Hermitian to rounding, now exactly
+    _kernels.leray_project_modes(c, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
 
-    band = grid.dealias_mask & (grid.ksq_int > 0)
     mode_mag = _kernels.squared_modulus(c)
     np.sqrt(mode_mag, out=mode_mag)
     mode_mag[~(mode_mag > 0.0)] = 1.0
-    target = np.zeros_like(grid.ksq)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
-        target[band] = grid.ksq[band] ** (energy_spectrum_slope / 4.0)
+        target = grid.ksq_band ** (energy_spectrum_slope / 4.0)
+        target[0, 0, 0] = 0.0  # ksq_band is 1 at the origin, where the mean is zero
         target /= mode_mag
         c *= target
-        # on a view: SpectralVelocity marks its array read-only, and c is scaled below
-        norm = sobolev_norm(SpectralVelocity(grid, c.view()), 0)
+        norm = math.sqrt(grid.volume
+                         * _kernels.weighted_spectral_sum(c, grid.norm_weights_band[0]))
     if not (norm > 0.0 and np.isfinite(norm)):
         raise ConfigurationError(f"random field with spectrum slope {energy_spectrum_slope} "
                                  f"has L2 norm {norm}; change the seed or the slope")
-    c *= amplitude / norm
-    return SpectralVelocity(grid, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c *= amplitude / norm
+        # Hermitian with zero mean by construction: of validate()'s checks only
+        # finiteness and the divergence can fail, when c is subnormal or overflows
+        peak = float(np.abs(c).max())
+        if not (np.isfinite(peak)
+                and _worst_divergence(c, grid.kx_band, grid.kz_band)
+                <= _divergence_tolerance(grid, peak)):
+            raise ConfigurationError(
+                f"amplitude {amplitude:g} is out of range for a random field on this grid: "
+                f"its coefficients would not be finite or divergence-free to rounding")
+    # empty and fill, not zeros: calloc'd pages would be faulted in afresh by later steps
+    out = np.empty((3, n, n, n), dtype=np.complex128)
+    out.fill(0.0)
+    return SpectralVelocity(grid, from_band(c, grid, out=out))
 
 
 def shear_field(grid, amplitude=1.0):

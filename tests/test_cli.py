@@ -152,6 +152,20 @@ def test_simulate_slope_with_non_finite_field_is_usage_error(tmp_path, capsys, s
     assert "slope" in line
 
 
+def test_simulate_tiny_amplitudes_exit_cleanly(tmp_path, capsys):
+    # a field whose coefficients would be subnormal is refused, never a traceback
+    codes = {}
+    for k in range(300, 325):
+        capsys.readouterr()
+        codes[k] = run(["simulate", "--init", "random", "--amplitude", f"1e-{k}", "--N", "8",
+                        "--T", "0.01", "--dt", "1e-3", "--out", tmp_path / f"tiny{k}"])
+        err = capsys.readouterr().err.splitlines()
+        if codes[k] != EXIT_OK:
+            assert codes[k] == EXIT_USAGE and len(err) == 1
+            assert err[0].startswith("nsreg: configuration error: amplitude ")
+    assert codes[300] == EXIT_OK and codes[320] == EXIT_USAGE
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     out = tmp_path / "boom"
     code = run(["simulate", "--init", "random", "--amplitude", "100",

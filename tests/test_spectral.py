@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import fftn
 
 from nsreg import (
     ConfigurationError,
@@ -23,7 +24,7 @@ from nsreg import (
     to_physical,
     trilinear_b,
 )
-from nsreg import _kernels
+from nsreg import _kernels, spectral
 from nsreg.solver import ForcingSpec, SolverConfig, _Stepper
 from nsreg.spectral import (
     band_to_physical,
@@ -490,6 +491,94 @@ def test_random_field_invariants_and_band(grid16):
     u.validate()
     outside = u.coefficients[:, ~grid16.dealias_mask]
     assert np.abs(outside).max() == 0.0
+
+
+def full_grid_random_field(grid, seed, slope, amplitude):
+    """The random field built on the full grid, then zeroed outside the band:
+    the construction that random_divfree_field replaces, kept as its oracle."""
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    c = fftn(rng.standard_normal((3, n, n, n)), axes=(-3, -2, -1))
+    c /= grid.n_modes
+    _kernels.leray_project_modes(c, grid.kx, grid.kx, grid.kx)
+    band = grid.dealias_mask & (grid.ksq_int > 0)
+    mode_mag = np.sqrt(_kernels.squared_modulus(c))
+    mode_mag[~(mode_mag > 0.0)] = 1.0
+    target = np.zeros_like(grid.ksq)
+    target[band] = grid.ksq[band] ** (slope / 4.0)
+    c *= target / mode_mag
+    c *= amplitude / sobolev_norm(SpectralVelocity(grid, c.view()), 0)
+    return c
+
+
+RANDOM_FIELD_CASES = [(0, -2.0, 1.0), (7, -3.0, 0.01), (123, 0.0, 40.0), (4242, 1.0, 2.5),
+                      (9, -5.0 / 3.0, 1e-5)]
+
+
+@pytest.mark.parametrize("length", [TWO_PI, 3.0])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_random_field_matches_full_grid_construction(n, length):
+    g = make_wavegrid(n, length)
+    for seed, slope, amplitude in RANDOM_FIELD_CASES:
+        got = random_divfree_field(g, seed, slope, amplitude).coefficients
+        want = full_grid_random_field(g, seed, slope, amplitude)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_random_field_is_exact_on_the_band(n):
+    # exactly Hermitian, exactly zero outside the band, of L2 norm amplitude to rounding
+    g = make_wavegrid(n)
+    for seed, slope, amplitude in RANDOM_FIELD_CASES:
+        u = random_divfree_field(g, seed, slope, amplitude)
+        assert max(hermitian_defect(comp) for comp in u.coefficients) == 0.0
+        assert not np.any(u.coefficients[:, ~g.dealias_mask])
+        assert abs(sobolev_norm(u, 0) - amplitude) <= 1e-15 * amplitude
+
+
+def test_random_field_gives_back_the_workspace(monkeypatch):
+    # the same idle buffers after a call that returns and after calls that raise
+    g = make_wavegrid(8)
+
+    def idle_workspace():
+        work = g.take_workspace()
+        g.give_back_workspace(work)
+        return work
+
+    random_divfree_field(g, 1)
+    work = idle_workspace()
+    random_divfree_field(g, 2)
+    assert idle_workspace() is work
+    with pytest.raises(ConfigurationError, match="slope"):
+        random_divfree_field(g, 1, 3000.0)
+    assert idle_workspace() is work
+
+    def failing_transform(*args):
+        raise RuntimeError("transform failed")
+
+    monkeypatch.setattr(spectral, "physical_to_band", failing_transform)
+    with pytest.raises(RuntimeError, match="transform failed"):
+        random_divfree_field(g, 1)
+    assert idle_workspace() is work
+
+
+@pytest.mark.parametrize("length,amplitudes", [
+    (TWO_PI, [10.0**-k for k in range(300, 325)] + [5e-324, 1e300, 1.7e308]),
+    (1e-30, [1.0, 1e250, 1e280, 1e300, 1.7e308])])
+def test_random_field_never_fails_validate(length, amplitudes):
+    # far out of range the scaled field underflows to subnormals or overflows:
+    # it is refused as a configuration error, never returned unvalidatable
+    g = make_wavegrid(8, length)
+    refused = 0
+    for amplitude in amplitudes:
+        try:
+            u = random_divfree_field(g, 3, -2.0, amplitude)
+        except ConfigurationError as exc:
+            assert "out of range" in str(exc)
+            refused += 1
+            continue
+        u.validate()
+    assert 0 < refused < len(amplitudes)
 
 
 def test_random_field_rejects_negative_amplitude(grid16):
