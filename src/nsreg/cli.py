@@ -386,13 +386,13 @@ def cmd_compare(args):
         config = SolverConfig(nu=args.nu, dt=args.dt, t_end=args.T)
         for i, row in enumerate(table.rows):
             entry = {"l2": row.l2, "status": "skipped"}
-            try:
+            try:  # simulate refuses a field whose squared norms underflow
                 u0 = field_with_norms(grid, args.seed + i, row.l2, row.h1_sq)
+                result = simulate(u0, ForcingSpec.zero(), config)
             except ConfigurationError as exc:
                 entry.update(status="infeasible_on_grid", detail=str(exc))
                 sims.append(entry)
                 continue
-            result = simulate(u0, ForcingSpec.zero(), config)
             report = None
             if row.criterion_satisfied:
                 report = arctan_bound_free(

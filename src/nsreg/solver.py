@@ -7,23 +7,21 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  A run converts the public full layout to the dealias band (see
-:mod:`nsreg.spectral`) at entry and back at exit, and holds its state on
-the band in between: stages, samples, invariant checks and the CFL speed
-all work there.  After each step of a run the state's kz = 0 plane is
+option).  A run takes the dealias band (see :mod:`nsreg.spectral`) of a
+public field at entry and gives a public field back at exit, and holds
+its state on the band in between: stages, samples, invariant checks and
+the CFL speed all work there.  A field with content outside the band is
+refused.  After each step of a run the state's kz = 0 plane is
 replaced by its Hermitian part, as :func:`spectral.from_band` does for
-:func:`step`, so the plane is Hermitian by construction and on the band
-a run is a loop of :func:`step` bit for bit.  Content of the initial
-field outside the band never enters the right-hand side, so it only
-decays, exactly as
-r0 exp(-nu |k|^2 t); its norms are added per sample from shell sums and
-it is added back to the final state once.  Every accepted step
-appends L2/H1/H2 norms, the force inner product, and trapezoidal running
-integrals to a :class:`NormTrace`.
+:func:`step`, so the plane is Hermitian by construction and a run is a
+loop of :func:`step` bit for bit.  Every accepted step appends L2/H1/H2
+norms, the force inner product, and trapezoidal running integrals to a
+:class:`NormTrace`.
 """
 
 import io
 import math
+import sys
 import time as _time
 import warnings
 from dataclasses import dataclass, replace
@@ -42,7 +40,6 @@ from .spectral import (
     SpectralVelocity,
     flux_contraction,
     from_band,
-    hermitian_adjoint,
     hermitian_plane,
     shear_field,
     to_band,
@@ -203,9 +200,9 @@ class SimulationResult:
 
     ``final_state`` is the public field at the last accepted time.  A
     caller may pass it in.  :func:`simulate` passes ``band_state`` instead,
-    the arguments (grid, band, rest, nu, t) of :func:`_field`: the field is
-    built on first read and cached, so a run whose caller reads only the
-    trace never allocates it, and every read returns the same object.
+    the pair (grid, band) of the last state: the field is built from it on
+    first read and cached, so a run whose caller reads only the trace
+    never allocates it, and every read returns the same object.
     """
 
     def __init__(self, trace, final_state, termination, blowup_time, blowup_reason,
@@ -226,7 +223,9 @@ class SimulationResult:
         field = self.__dict__.get("_final_state")
         if field is None:
             # setdefault is atomic: threads racing to build it all get the first one stored
-            field = self.__dict__.setdefault("_final_state", _field(*self._band_state))
+            grid, band = self._band_state
+            field = self.__dict__.setdefault("_final_state",
+                                             SpectralVelocity(grid, from_band(band, grid)))
         return field
 
 
@@ -343,44 +342,37 @@ class _Stepper:
         return new, dt
 
 
-def _split(u):
-    """(band, rest) of a field: its dealias band, and its coefficients if
-    they hold content outside the band (else None)."""
+def _band(u):
+    """Dealias band of a field, or :class:`ConfigurationError` if the field
+    has content outside the band."""
     band = to_band(u.coefficients, u.grid)
     half = u.coefficients[..., : u.grid.n // 2 + 1]  # kz >= 0: a view, not a copy
-    rest = None if np.count_nonzero(half) == np.count_nonzero(band) else u.coefficients
-    return band, rest
-
-
-def _field(grid, band, rest, nu, t):
-    """Public field of a band state; outside the band it holds the Hermitian
-    part of ``rest`` decayed by exp(-nu |k|^2 t) (zero when ``rest`` is None)."""
-    out = None
-    if rest is not None:
-        out = np.exp(-(nu * grid.ksq) * t) * (0.5 * (rest + hermitian_adjoint(rest)))
-    return SpectralVelocity(grid, from_band(band, grid, out=out))
+    if np.count_nonzero(half) != np.count_nonzero(band):
+        raise ConfigurationError(
+            "field has content outside the dealias band; truncate it with "
+            "u.copy_with(u.coefficients * grid.dealias_mask)")
+    return band
 
 
 def step(u, forcing, t, dt, config):
     """Advance one step of length dt from time t; returns the new state.
 
-    ``config.cfl`` is not applied: the step is exactly dt.  Modes outside
-    the dealias band decay by exp(-nu |k|^2 dt).  The new state passes the
-    checks of :func:`simulate`: non-finite coefficients raise
-    :class:`NumericalBlowupError` (carrying t as the last valid time), a
-    lost invariant :class:`InvariantViolationError`.
+    ``config.cfl`` is not applied: the step is exactly dt.  A state with
+    content outside the dealias band raises :class:`ConfigurationError`.
+    The new state passes the checks of :func:`simulate`: non-finite
+    coefficients raise :class:`NumericalBlowupError` (carrying t as the
+    last valid time), a lost invariant :class:`InvariantViolationError`.
     """
     if dt <= 0:
         raise ConfigurationError(f"step size must be positive, got {dt}")
     grid = u.grid
     stepper = _Stepper(grid, forcing, replace(config, cfl=None))
-    band, rest = _split(u)
-    new, _ = stepper.step(band, t, dt)
+    new, _ = stepper.step(_band(u), t, dt)
     if not _check_invariants(grid, new, t + dt):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
         )
-    return _field(grid, new, rest, config.nu, dt)
+    return SpectralVelocity(grid, from_band(new, grid))
 
 
 def _sample(grid, band, fband, f_sq=None):
@@ -397,16 +389,6 @@ def _sample(grid, band, fband, f_sq=None):
     if f_sq is None:
         f_sq = vol * _kernels.weighted_spectral_sum(fband, mult)
     return l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
-
-
-def _shells(grid, rest):
-    """Content of full-layout coefficients outside the band, by shells of
-    equal |k|^2: each shell's eigenvalue |k|^2 and its squared L2 norm."""
-    mag = _kernels.squared_modulus(rest)
-    mag[grid.dealias_mask] = 0.0
-    energy = np.bincount(grid.ksq_int.astype(np.intp).ravel(), weights=mag.ravel())
-    shells = np.flatnonzero(energy)
-    return grid.scale**2 * shells, grid.volume * energy[shells]
 
 
 def _check_invariants(grid, band, t):
@@ -431,24 +413,18 @@ def simulate(u0, forcing, config):
     """Integrate to ``config.t_end`` (or numerical blowup), tracing norms.
 
     Blowup is a reported outcome: the result carries the trace up to the
-    last finite state and ``termination == "blowup"``.
+    last finite state and ``termination == "blowup"``.  An initial field
+    with content outside the dealias band, or a nonzero one whose squared
+    norms overflow or underflow, raises :class:`ConfigurationError`.
     """
-    u0.validate()  # also covers the invariants of the out-of-band content
+    u0.validate()
     start = _time.perf_counter()
     grid = u0.grid
     stepper = _Stepper(grid, forcing, config)
-    c, rest = _split(u0)
-    shells = None if rest is None else _shells(grid, rest)
+    c = _band(u0)
 
     def sample(c, t, f_sq=None):
-        l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = _sample(grid, c, stepper.force_band(t), f_sq)
-        if shells is not None:  # rest decays as exp(-nu |k|^2 t), so its energy as exp(-2 ...)
-            lam, energy = shells
-            e = energy * np.exp(-2.0 * config.nu * lam * t)
-            l2_sq += float(e.sum())
-            h1_sq += float((lam * e).sum())
-            h2_sq += float((lam * lam * e).sum())
-        return t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq
+        return (t,) + _sample(grid, c, stepper.force_band(t), f_sq)
 
     t = 0.0
     with np.errstate(over="ignore"):
@@ -457,6 +433,10 @@ def simulate(u0, forcing, config):
     bad = [f"{k}={v}" for k, v in zip(names, samples[0][1:]) if not math.isfinite(v)]
     if bad:  # a finite field whose |uhat|^2 sums overflow
         raise ConfigurationError("initial field has overflowing squared norms: " + ", ".join(bad))
+    tiny = [f"{k}={v}" for k, v in zip(names, samples[0][1:4]) if v < sys.float_info.min]
+    if tiny and np.any(c):  # a nonzero field whose |uhat|^2 sums underflow
+        raise ConfigurationError(
+            "initial field has underflowing squared norms: " + ", ".join(tiny))
     steady_f_sq = samples[0][-1] if forcing.kind == "steady" else None
 
     termination = "completed"
@@ -483,7 +463,6 @@ def simulate(u0, forcing, config):
         c = new
         t = t_new
         samples.append(row)
-    band_state = (grid, c, rest, config.nu, t)  # the final state, built when read
 
     t, l2_sq, h1_sq, h2_sq, f_dot_u, f_sq = np.array(samples).T
 
@@ -496,7 +475,7 @@ def simulate(u0, forcing, config):
     return SimulationResult(
         trace=trace,
         final_state=None,
-        band_state=band_state,
+        band_state=(grid, c),  # the final state, built when read
         termination=termination,
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,

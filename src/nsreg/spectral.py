@@ -260,8 +260,17 @@ class SpectralVelocity:
 
 def _worst_divergence(c, kxy, kz):
     """max_k |k . c(k)| of (3, ...) coefficients, with wavenumbers ``kxy``
-    along x and y and ``kz`` along z, as a float."""
-    return float(np.abs(_kernels.divergence(c, kxy, kxy, kz)[0]).max())
+    along x and y and ``kz`` along z, as a float.
+
+    :func:`_kernels.divergence` runs on blocks of x-planes, so every mode's
+    value is the unblocked one bit for bit without two temporaries of a
+    whole component; ``np.max`` folds the block maxima and keeps a NaN.
+    """
+    nx = c.shape[-3]
+    size = max(1, nx // 8)
+    return float(np.max([
+        np.abs(_kernels.divergence(c[:, i:i + size], kxy[i:i + size], kxy, kz)[0]).max()
+        for i in range(0, nx, size)]))
 
 
 def _divergence_tolerance(grid, peak):

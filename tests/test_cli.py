@@ -153,17 +153,21 @@ def test_simulate_slope_with_non_finite_field_is_usage_error(tmp_path, capsys, s
 
 
 def test_simulate_tiny_amplitudes_exit_cleanly(tmp_path, capsys):
-    # a field whose coefficients would be subnormal is refused, never a traceback
+    # a field whose coefficients would be subnormal, or whose squared norms
+    # would, is refused, never a traceback and never a trace of zeros
     codes = {}
-    for k in range(300, 325):
+    for k in [150, 200, *range(300, 325)]:
         capsys.readouterr()
         codes[k] = run(["simulate", "--init", "random", "--amplitude", f"1e-{k}", "--N", "8",
                         "--T", "0.01", "--dt", "1e-3", "--out", tmp_path / f"tiny{k}"])
         err = capsys.readouterr().err.splitlines()
         if codes[k] != EXIT_OK:
             assert codes[k] == EXIT_USAGE and len(err) == 1
-            assert err[0].startswith("nsreg: configuration error: amplitude ")
-    assert codes[300] == EXIT_OK and codes[320] == EXIT_USAGE
+            assert err[0].startswith(("nsreg: configuration error: amplitude ",
+                                      "nsreg: configuration error: initial field has "
+                                      "underflowing squared norms: "))
+    assert codes[150] == EXIT_OK
+    assert codes[200] == codes[300] == codes[320] == EXIT_USAGE
 
 
 def test_simulate_blowup_exits_zero(tmp_path):
@@ -324,6 +328,17 @@ def test_compare_records_a_member_infeasible_on_the_grid(tmp_path):
     assert feasible["status"] == "completed"
     row = (out / "compare.csv").read_text().splitlines()[1]
     assert row.split(",")[-3:] == ["infeasible_on_grid", "", ""]
+
+
+def test_compare_records_a_member_with_underflowing_norms_as_infeasible(tmp_path):
+    # l2^2 = 1e-310 is subnormal: simulate refuses the member's field
+    out = tmp_path / "cmp"
+    code = run(["compare", "--h1sq", "2e-310", "--l2-sweep", "1e-155", "--simulate",
+                "--N", "8", "--T", "0.01", "--dt", "1e-3", "--out", out])
+    assert code == EXIT_OK
+    (sim,) = read_json(out / "report.json")["simulations"]
+    assert sim["status"] == "infeasible_on_grid"
+    assert "underflowing squared norms" in sim["detail"]
 
 
 @pytest.mark.parametrize("sweep", ["0.1,abc", "", " , ,"])

@@ -1,6 +1,7 @@
 """Tests for the spectral field representation and its operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -700,6 +701,37 @@ def test_validate_rejects_planted_hermitian_defect(n):
     c[0, 0, 0, n // 2] += 1e-3j  # the kz = N/2 plane: its own mirror
     with pytest.raises(ValueError, match="Hermitian"):
         SpectralVelocity(g, c).validate()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_worst_divergence_equals_the_unblocked_maximum(n):
+    # blocks of x-planes give each mode's k . c bit for bit, so the same maximum
+    g = make_wavegrid(n)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+    band = to_band(c, g)
+    for arr, kxy, kz in ((c, g.kx, g.kx), (band, g.kx_band, g.kz_band)):
+        want = float(np.abs(_kernels.divergence(arr, kxy, kxy, kz)[0]).max())
+        assert spectral._worst_divergence(arr, kxy, kz) == want
+    c[1, n - 1, 0, 1] = np.nan  # in the last block
+    assert np.isnan(spectral._worst_divergence(c, g.kx, g.kx))
+
+
+def test_validate_peak_is_about_one_component():
+    # the divergence check holds a block of x-planes at a time, so the
+    # Hermitian check's temporaries, about one component, set the peak
+    # (2.25 components when the divergence was formed over the whole field)
+    g = make_wavegrid(32)
+    u = random_divfree_field(g, 1)
+    u.validate()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u.validate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.coefficients[0].nbytes
 
 
 def test_hermitian_adjoint_involution(rand_field):
