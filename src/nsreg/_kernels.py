@@ -38,19 +38,24 @@ def leray_project_modes(vhat, kx, ky, kz, ksq=None):
     each axis (N each for the full layout, B, B and kc for the band).
     ``ksq`` is kx^2 + ky^2 + kz^2 on the modes with 1 at mode 0 (such as
     ``WaveGrid.ksq_band``); it is formed here when None.  Mode 0 is
-    zeroed.  Returns vhat.
+    zeroed.  The modes may be a block of x-planes of a field, with the
+    matching rows of kx and ksq: its first mode is mode 0 only when kx,
+    ky and kz all start at 0.  Returns vhat.
     """
     gx = kx[:, None, None]
     gy = ky[None, :, None]
     gz = kz[None, None, :]
+    origin = kx[0] == ky[0] == kz[0] == 0.0
     if ksq is None:
         ksq = gx * gx + gy * gy + gz * gz
-        ksq[0, 0, 0] = 1.0  # avoid 0/0; mode 0 is overwritten below
+        if origin:
+            ksq[0, 0, 0] = 1.0  # avoid 0/0; mode 0 is overwritten below
     div, term = divergence(vhat, kx, ky, kz)
     div /= ksq
     for v, g in zip(vhat, (gx, gy, gz)):
         v -= np.multiply(g, div, out=term)
-    vhat[:, 0, 0, 0] = 0.0
+    if origin:
+        vhat[:, 0, 0, 0] = 0.0
     return vhat
 
 

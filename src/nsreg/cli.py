@@ -315,6 +315,7 @@ def cmd_simulate(args):
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": result.wall_time_s,
+        "threads": grid.workers,
         "termination": result.termination,
         "blowup_time": result.blowup_time,
         "blowup_reason": result.blowup_reason,

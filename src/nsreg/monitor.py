@@ -21,10 +21,11 @@ whose modelled tolerance exceeds the cap is too coarse to tell a wrong
 integrator from differencing error, and a failed diagnostic on it is
 reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
 fails closed: a NaN or infinite residual, or a NaN tolerance, is a
-violation.
+violation, and a trace with a subnormal squared norm is refused.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,12 +196,31 @@ def check_bound_dominance(trace, report):
                   excess.max(), DOMINANCE_REL_TOL)
 
 
+def _refuse_subnormal_norms(trace):
+    """Raise :class:`GridMismatchError` naming the first sample with a
+    nonzero ``l2_sq``, ``h1_sq`` or ``h2_sq`` below the smallest normal
+    float: such a value has too few significant bits for any check to
+    mean anything.  Zero norms are exact and pass."""
+    names = ("l2_sq", "h1_sq", "h2_sq")
+    norms = np.stack([getattr(trace, name) for name in names])
+    tiny = (norms > 0.0) & (norms < sys.float_info.min)
+    if tiny.any():
+        i = int(np.flatnonzero(tiny.any(axis=0))[0])
+        values = ", ".join(f"{name} = {norms[k, i]:g}" for k, name in enumerate(names)
+                           if tiny[k, i])
+        raise GridMismatchError(
+            f"trace sample {i} at t = {trace.t[i]:g} has {values}, below the smallest "
+            f"normal float {sys.float_info.min:g}: too few significant bits to check")
+
+
 def run_monitor(trace, ledger, report=None, solver_rel_tol=None):
     """Run the solver diagnostic plus all applicable inequality checks.
 
     The solver diagnostic comes first so a failing report distinguishes
-    "integrator is wrong" from "constants are wrong".
+    "integrator is wrong" from "constants are wrong".  A trace with a
+    subnormal squared norm raises :class:`GridMismatchError`.
     """
+    _refuse_subnormal_norms(trace)
     diag = solver_energy_diagnostic(trace, rel_tol=solver_rel_tol)
     checks = [diag, check_h1_inequality(trace, ledger)[1], check_energy_inequality(trace, ledger)]
     if report is not None:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .spectral import (
     SpectralVelocity,
+    _on_slabs,
     flux_contraction,
     from_band,
     hermitian_plane,
@@ -257,8 +258,10 @@ class _Stepper:
         return factors
 
     def _project(self, band):
+        """Leray-project a band in place, on x-slabs (:func:`spectral._on_slabs`)."""
         g = self.grid
-        return _kernels.leray_project_modes(band, g.kx_band, g.kx_band, g.kz_band, g.ksq_band)
+        _on_slabs(g, len(g.kx_band), lambda x: _kernels.leray_project_modes(
+            band[:, x], g.kx_band[x], g.kx_band, g.kz_band, g.ksq_band[x]))
 
     def force_band(self, t):
         """Band of the force at time t (projected if time-dependent), or None."""

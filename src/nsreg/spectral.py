@@ -26,12 +26,22 @@ The z passes run on ``numpy.fft``, whose r2c and c2r transforms take
 ``out=``, so the stepper writes them into the grid's transform workspace
 (:meth:`WaveGrid.take_workspace`); both libraries run the same pocketfft
 kernels, and the z passes are bit for bit those of ``scipy.fft``.
+
+From N = 64 (:data:`_SLAB_MIN_N`) a right-hand side runs on every usable
+CPU (:attr:`WaveGrid.workers`): the 2-D passes through ``scipy.fft``'s
+``workers=``, and the z passes, the flux product, the contraction and
+the Leray projection on x-slabs (:func:`_on_slabs`).  Every mode and
+sample is computed as in one piece, so results are bit for bit those of
+one worker.
 """
 
+import contextvars
 import json
 import math
+import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -47,13 +57,75 @@ TWO_PI = 2.0 * np.pi
 SNAPSHOT_MAGIC = b"NSRC1"
 _SNAPSHOT_HEADER = struct.Struct("<5sIdI")
 
+#: smallest N whose transforms and band tail run on every usable CPU; below
+#: it the hand-offs cost more than the split saves (N = 32 lost in both
+#: benchmark pairs, 6.65 -> 8.69 and 6.25 -> 7.14 ms/step)
+_SLAB_MIN_N = 64
+
+_slab_pool = None  # ThreadPoolExecutor of the slabs (_pool)
+_slab_pool_lock = threading.Lock()
+
+
+def _usable_cpus():
+    """CPUs this process may run on.  Variables such as OMP_NUM_THREADS
+    govern BLAS, which nsreg does not call, and are not read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _drop_slab_pool():
+    """Forget the pool in a forked child: its threads stay in the parent."""
+    global _slab_pool, _slab_pool_lock
+    _slab_pool, _slab_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_slab_pool)
+
+
+def _pool():
+    """The slab pool, made on first use."""
+    global _slab_pool
+    with _slab_pool_lock:
+        if _slab_pool is None:
+            _slab_pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="nsreg-slab")
+        return _slab_pool
+
+
+def _on_slabs(grid, rows, fn):
+    """Call ``fn(x)`` for ``grid.workers`` (at most ``rows``) contiguous,
+    nonempty slices ``x`` that cover ``range(rows)``, the first on the
+    calling thread and the others on the slab pool, each in a copy of the
+    caller's context (so numpy's ``errstate`` holds there too); returns
+    when all have ended.  With one worker, ``fn(slice(None))`` directly.
+    The calls must write disjoint parts of their arrays.
+    """
+    workers = min(grid.workers, rows)
+    if workers == 1:
+        fn(slice(None))
+        return
+    pool = _pool()
+    cuts = [rows * i // workers for i in range(workers + 1)]
+    slabs = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in slabs[1:]]
+    try:
+        fn(slabs[0])
+    finally:
+        wait(futures)  # the slabs write the caller's arrays: none may outlive the call
+    for future in futures:
+        future.result()
+
 
 class WaveGrid:
     """Fourier lattice of an N^3 periodic grid with period ``length``.
 
     Integer wavenumbers per axis are a bijection with [-N/2, N/2); physical
     wavevectors are scaled by 2*pi/length.  The grid also lends the
-    transform workspace of the stepper (:meth:`take_workspace`).
+    transform workspace of the stepper (:meth:`take_workspace`), and sets
+    how many threads its transforms use, :attr:`workers`: every usable
+    CPU from N = :data:`_SLAB_MIN_N`, else 1.
     """
 
     def __init__(self, n, length=TWO_PI):
@@ -119,6 +191,7 @@ class WaveGrid:
                     self.norm_weights_band):
             arr.setflags(write=False)
 
+        self.workers = _usable_cpus() if self.n >= _SLAB_MIN_N else 1
         self._idle_workspace = None  # made on first use, kept while the grid lives
         self._workspace_lock = threading.Lock()
 
@@ -399,16 +472,19 @@ def band_to_physical(band, grid, spread, out):
     so nothing is padded.  ``spread`` (complex, shape (..., N, N, N/2 + 1))
     is the buffer of the half spectrum, overwritten, and ``out`` (float,
     shape (..., N, N, N)) the one of the samples, returned; the stepper
-    lends both from :meth:`WaveGrid.take_workspace`.
+    lends both from :meth:`WaveGrid.take_workspace`.  The passes run on
+    ``grid.workers`` threads, the c2r pass on x-slabs.
     """
     kc, index = grid.kc, grid.band_index
     spread.fill(0.0)
     spread[..., index[:, None], index, :kc] = band
     low = spread[..., :kc]
-    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True)
+    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
     if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
         low[...] = done
-    return irfftn(spread, axes=(-1,), norm="forward", out=out)
+    _on_slabs(grid, grid.n, lambda x: irfftn(spread[..., x, :, :], axes=(-1,), norm="forward",
+                                             out=out[..., x, :, :]))
+    return out
 
 
 def physical_to_band(samples, grid, spec, out):
@@ -421,11 +497,14 @@ def physical_to_band(samples, grid, spec, out):
     is a power of two; the passes scale by 1/N and 1/N^2, where ``rfftn``
     scales once by 1/N^3.  ``spec`` (complex, shape (..., N, N, N/2 + 1))
     is a buffer for the z spectrum, overwritten, and ``out`` (complex,
-    shape (..., B, B, kc)) one for the band, returned.
+    shape (..., B, B, kc)) one for the band, returned.  The passes run on
+    ``grid.workers`` threads, the r2c pass on x-slabs.
     """
     n, kc = grid.n, grid.kc
-    spec = rfftn(samples, axes=(-1,), norm="forward", out=spec)[..., :kc]
-    spec = fftn(spec, axes=(-3, -2), norm="forward", overwrite_x=True)
+    _on_slabs(grid, n, lambda x: rfftn(samples[..., x, :, :], axes=(-1,), norm="forward",
+                                       out=spec[..., x, :, :]))
+    spec = fftn(spec[..., :kc], axes=(-3, -2), norm="forward", overwrite_x=True,
+                workers=grid.workers)
     # per axis the band holds the rows 0, ..., kc - 1 and N - kc + 1, ..., N - 1
     rows = ((slice(None, kc), slice(None, kc)), (slice(kc, None), slice(n - kc + 1, None)))
     for bx, sx in rows:
@@ -447,6 +526,7 @@ def flux_contraction(band, grid, speed=False):
     to the band, in the buffers of :meth:`WaveGrid.take_workspace`.  The 2/3
     rule makes the retained modes of each product alias-free.  The sum is
     accumulated in place, in the order (k_x F_xj + k_y F_yj) + k_z F_zj.
+    The product and the sum run on x-slabs (:func:`_on_slabs`).
     With ``speed``, returns ``(out, max |u|)``: the largest velocity
     component on the collocation grid.
     """
@@ -455,16 +535,20 @@ def flux_contraction(band, grid, speed=False):
         band_to_physical(band, grid, spread, u)
         if speed:
             top = float(max(u.max(), -u.min()))
-        _kernels.convective_product(u, out=flux)
+        _on_slabs(grid, grid.n, lambda x: _kernels.convective_product(u[:, x], out=flux[:, x]))
         physical_to_band(flux, grid, spec, f)
         kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
         out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
-        term = np.empty_like(out[0])
-        for row, (fx, fy, fz) in zip(out, ((0, 1, 2), (1, 3, 4), (2, 4, None))):
-            np.multiply(kx, f[fx], out=row)
-            row += np.multiply(ky, f[fy], out=term)
-            if fz is not None:
-                row += np.multiply(kz, f[fz], out=term)
+
+        def contract(x):
+            term = np.empty_like(out[0, x])
+            for row, (fx, fy, fz) in zip(out[:, x], ((0, 1, 2), (1, 3, 4), (2, 4, None))):
+                np.multiply(kx[x], f[fx, x], out=row)
+                row += np.multiply(ky, f[fy, x], out=term)
+                if fz is not None:
+                    row += np.multiply(kz, f[fz, x], out=term)
+
+        _on_slabs(grid, len(grid.kx_band), contract)
     finally:
         grid.give_back_workspace(work)
     return (out, top) if speed else out

@@ -67,6 +67,46 @@ def test_simulate_zero_trace(tmp_path):
     assert np.abs(data[:, 1:5]).max() == 0.0
 
 
+def test_monitor_refuses_a_trace_that_decays_to_subnormal_norms(tmp_path, capsys):
+    # the run is fine and exits 0; its norms fall below the smallest normal
+    # float near t = 3.06, where they keep too few bits for any check
+    out = tmp_path / "run"
+    assert run(["simulate", "--init", "random", "--amplitude", "1e-153", "--N", "8",
+                "--T", "4", "--dt", "1e-2", "--out", out]) == EXIT_OK
+    data = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    first = int(np.flatnonzero(data[:, 1] < sys.float_info.min)[0])
+    assert 0.0 < data[-1, 1] < sys.float_info.min
+    capsys.readouterr()
+    assert run(["monitor", "--trace", out / "trace.csv"]) == EXIT_NORM_INCONSISTENT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"nsreg: inconsistent input: trace sample {first} at "
+                             f"t = {data[first, 0]:g} has l2_sq = ")
+
+
+def test_compare_refuses_a_member_whose_trace_decays_to_subnormal_norms(capsys):
+    # its monitor used to pass it: sim_monitor_passed 1
+    assert run(["compare", "--h1sq", "1e-307", "--l2-sweep", "3e-154", "--simulate",
+                "--N", "8", "--T", "1", "--dt", "1e-2"]) == EXIT_NORM_INCONSISTENT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nsreg: inconsistent input: trace sample 70 ")
+
+
+def test_monitor_passes_the_zero_trace(tmp_path):
+    out = tmp_path / "run"
+    assert run(["simulate", "--init", "zero", "--T", "0.05", "--dt", "1e-2",
+                "--N", "8", "--out", out]) == EXIT_OK
+    assert run(["monitor", "--trace", out / "trace.csv", "--out", tmp_path / "mon"]) == EXIT_OK
+    assert read_json(tmp_path / "mon" / "report.json")["passed"] is True
+
+
+@pytest.mark.parametrize("n,threads", [(8, 1), (32, 1), (64, len(os.sched_getaffinity(0)))])
+def test_simulate_records_its_thread_count(tmp_path, n, threads):
+    out = tmp_path / "run"
+    assert run(["simulate", "--N", n, "--T", "1e-3", "--dt", "1e-3", "--out", out]) == EXIT_OK
+    assert read_json(out / "meta.json")["threads"] == threads
+
+
 def test_simulate_deterministic_output(tmp_path):
     args = ["simulate", "--init", "random", "--seed", "7", "--N", "8",
             "--T", "0.05", "--dt", "5e-3"]

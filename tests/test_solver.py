@@ -1,8 +1,12 @@
 """Tests for the integrating-factor time stepper and trace machinery."""
 
+import hashlib
 import math
+import os
 import pickle
+import signal
 import sys
+import time
 import threading
 import tracemalloc
 import warnings
@@ -32,7 +36,7 @@ from nsreg import (
     sobolev_norm,
     step,
 )
-from nsreg import _kernels, solver
+from nsreg import _kernels, solver, spectral
 from nsreg.errors import GridMismatchError, InvariantViolationError, NumericalBlowupError
 from nsreg.solver import _check_invariants, _sample, _Stepper
 from nsreg.spectral import from_physical, hermitian_defect, to_band
@@ -736,3 +740,169 @@ def test_sample_force_inner_product_matches_full_fields(grid16):
     f_dot_u = _sample(grid16, to_band(u.coefficients, grid16), fband)[3]
     assert f_dot_u != 0.0
     assert f_dot_u == pytest.approx(inner_product(f, u), rel=1e-13)
+
+
+# ------------------------------------------------------------ slab threads
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_digests(grid, workers, monkeypatch, config, forced):
+    """Digests of a random field, rhs with its speed, step() and a short
+    run, all with ``workers`` threads."""
+    monkeypatch.setattr(grid, "workers", workers)
+    cfg = SolverConfig(**config)
+    forcing = kolmogorov_forcing(grid, 5.0) if forced else ForcingSpec.zero()
+    u0 = random_divfree_field(grid, 5, -2.0, 4.0)
+    band = to_band(u0.coefficients, grid)
+    rhs, speed = _Stepper(grid, forcing, cfg).rhs(band, 0.0, speed=True)
+    stepped = step(u0, forcing, 0.0, cfg.dt, cfg)
+    res = simulate(u0, forcing, cfg)
+    assert len(res.trace) == 4  # 3 steps
+    if cfg.cfl is not None:
+        assert np.diff(res.trace.t).max() < cfg.dt  # the cap bites
+    return (_digest(u0.coefficients.tobytes()), _digest(rhs.tobytes()), speed,
+            _digest(stepped.coefficients.tobytes()), res.trace.to_csv(),
+            _digest(res.final_state.coefficients.tobytes()))
+
+
+@pytest.mark.parametrize("n,config,forced", [
+    (64, dict(nu=0.1, dt=1e-3, t_end=3e-3), False),
+    (64, dict(nu=0.1, dt=1e-2, t_end=3e-3, integrator="if_rk2", cfl=0.01), True),
+    # B = 11 band rows: slabs of 5 and 6
+    (16, dict(nu=0.1, dt=1e-3, t_end=3e-3), False),
+    (16, dict(nu=0.1, dt=1e-2, t_end=3e-3, integrator="if_rk2", cfl=0.002), True),
+])
+def test_results_are_bitwise_equal_for_any_worker_count(monkeypatch, n, config, forced):
+    g = make_wavegrid(n)
+    assert _run_digests(g, 2, monkeypatch, config, forced) == \
+        _run_digests(g, 1, monkeypatch, config, forced)
+
+
+def test_grid_threads_from_n64_on_every_usable_cpu(monkeypatch):
+    assert make_wavegrid(64).workers == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+    assert [make_wavegrid(n).workers for n in (8, 16, 32, 62, 64, 96)] == [1, 1, 1, 1, 4, 4]
+    assert pickle.loads(pickle.dumps(make_wavegrid(64))).workers == 4
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+    assert make_wavegrid(64).workers == 1
+
+
+def test_slabs_cover_the_rows_once_in_the_callers_errstate(monkeypatch):
+    g = make_wavegrid(16)
+    monkeypatch.setattr(g, "workers", 3)
+    seen = []
+
+    def record(x):
+        seen.append((x.start, x.stop, np.geterr()["over"], threading.get_ident()))
+
+    with np.errstate(over="ignore"):
+        spectral._on_slabs(g, 11, record)
+    assert sorted(s[:3] for s in seen) == [(0, 3, "ignore"), (3, 7, "ignore"), (7, 11, "ignore")]
+    assert [s[3] for s in seen].count(threading.get_ident()) == 1  # the rest ran on the pool
+
+    ended = []
+
+    def fail_first(x):
+        if x.start == 0:
+            raise ValueError("slab failed")
+        time.sleep(0.05)
+        ended.append(x.start)
+
+    with pytest.raises(ValueError, match="slab failed"):
+        spectral._on_slabs(g, 11, fail_first)
+    assert sorted(ended) == [3, 7]  # the other slabs ended before the error was raised
+
+    seen.clear()
+    spectral._on_slabs(g, 2, record)  # more workers than rows: no empty slab
+    assert sorted(s[:2] for s in seen) == [(0, 1), (1, 2)]
+
+    monkeypatch.setattr(g, "workers", 1)
+    seen.clear()
+    spectral._on_slabs(g, 11, record)
+    assert [s[:2] for s in seen] == [(None, None)]
+
+
+def test_concurrent_threaded_runs_match_sequential_runs(monkeypatch):
+    # runs on one grid in several threads share the slab pool, with more
+    # slabs than cores, and each gets the results it gets alone
+    g = make_wavegrid(64)
+    monkeypatch.setattr(g, "workers", 3)
+    cfgs = [SolverConfig(nu=0.1, dt=1e-3, t_end=2e-3),
+            SolverConfig(nu=0.1, dt=1e-2, t_end=2e-3, integrator="if_rk2", cfl=0.01)]
+    runs = [(random_divfree_field(g, 20 + i, -2.0, 4.0), cfgs[i % 2]) for i in range(3)]
+    forcing = kolmogorov_forcing(g, 5.0)
+    want = [simulate(u0, forcing, cfg) for u0, cfg in runs]
+    got = [None] * len(runs)
+
+    def run(i):
+        got[i] = simulate(runs[i][0], forcing, runs[i][1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for w, r in zip(want, got):
+        assert r.trace.to_csv() == w.trace.to_csv()
+        assert np.array_equal(r.final_state.coefficients, w.final_state.coefficients)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rhs_at_n64_allocates_no_full_grid_array(monkeypatch, workers):
+    # the slab threads transform in the caller's workspace: the peak is the
+    # band result and the projection's scratch (1.6 to 1.7 band arrays),
+    # where one full-grid temporary, even a slab of one, would pass 2
+    g = make_wavegrid(64)
+    monkeypatch.setattr(g, "workers", workers)
+    band = to_band(random_divfree_field(g, 1).coefficients, g)
+    stepper = _Stepper(g, ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1.0))
+    stepper.step(band, 0.0, 1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stepper.rhs(band, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * band.nbytes, peak / band.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_steps_after_a_threaded_run(monkeypatch):
+    # the slab pool's threads stay in the parent; a child that found the
+    # pool would wait on them forever
+    g = make_wavegrid(64)
+    monkeypatch.setattr(g, "workers", 2)
+    u0 = random_divfree_field(g, 1)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3)
+    want = simulate(u0, ForcingSpec.zero(), cfg).trace.to_csv()
+    assert spectral._slab_pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:  # the child: one step, then exit without pytest's teardown
+        code = 1
+        try:
+            signal.alarm(120)
+            code = 0 if simulate(u0, ForcingSpec.zero(), cfg).trace.to_csv() == want else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in simulate")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0

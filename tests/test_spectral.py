@@ -252,6 +252,24 @@ def test_leray_keeps_transverse_mode(grid8):
     assert np.allclose(out.coefficients, raw, atol=0, rtol=0)
 
 
+@pytest.mark.parametrize("with_ksq", [True, False])
+def test_leray_on_blocks_of_x_planes_equals_one_piece(grid16, with_ksq):
+    # only the block that holds mode 0 zeroes it
+    g = grid16
+    noise = np.random.default_rng(5).standard_normal((3, g.n, g.n, g.n))
+    band = to_band(np.fft.fftn(noise, axes=(-3, -2, -1)), g)
+    want = _kernels.leray_project_modes(band.copy(), g.kx_band, g.kx_band, g.kz_band,
+                                        g.ksq_band if with_ksq else None)
+    got = band.copy()
+    for lo, hi in ((0, 4), (4, 5), (5, 11)):
+        _kernels.leray_project_modes(got[:, lo:hi], g.kx_band[lo:hi], g.kx_band, g.kz_band,
+                                     g.ksq_band[lo:hi] if with_ksq else None)
+    assert np.array_equal(got, want)
+    # mode 0 is zeroed, and the first mode of the block at x = 4 keeps its
+    # components across k = (k_4, 0, 0)
+    assert np.all(want[:, 0, 0, 0] == 0.0) and np.all(want[1:, 4, 0, 0] != 0.0)
+
+
 def test_leray_output_divergence_free(grid16):
     rng = np.random.default_rng(42)
     noise = rng.standard_normal((3, 16, 16, 16))
