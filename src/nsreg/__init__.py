@@ -25,7 +25,6 @@ from .bounds import (
     classical_horizon_free,
     derive_constants,
     interval_comparison,
-    ode_comparison_oracle,
 )
 from .calibrate import calibrate_constants, embedding_ratios
 from .errors import (

@@ -336,79 +336,6 @@ def arctan_bound_free(inputs, ledger):
 
 
 @dataclass(frozen=True)
-class OdeOracle:
-    """Trajectory and blow-up time of a scalar comparison ODE."""
-
-    t: np.ndarray
-    y: np.ndarray
-    blowup_time: Optional[float]
-
-
-def _ode_rhs(variant, alpha, beta):
-    if variant == "cubic":
-        return lambda y: alpha + beta * y**3
-    if variant == "arctan_form":
-        return lambda y: alpha + beta * y * (1.0 + y**2)
-    if variant == "square":
-        return lambda y: alpha + beta * y**2
-    raise ConfigurationError(f"unknown ODE variant {variant!r}")
-
-
-def ode_comparison_oracle(alpha, beta, y0, t_end, variant="cubic"):
-    """Independent high-accuracy integration of y' = alpha + beta y^3.
-
-    Variants: ``cubic`` (alpha + beta y^3), ``arctan_form``
-    (alpha + beta y (1 + y^2)), ``square`` (alpha + beta y^2).  The blow-up
-    time is located by integrating to a large switch level and adding the
-    remaining time as the convergent integral of dt/dy = 1/rhs, which keeps
-    the relative error well below 1e-6.
-    """
-    # imported here: scipy.integrate pulls in scipy's linalg/sparse/optimize
-    # tree, which no command needs, so ``import nsreg`` stays lean
-    from scipy.integrate import quad, solve_ivp
-
-    if alpha < 0 or y0 < 0:
-        raise ConfigurationError("alpha and y0 must be non-negative")
-    if not beta > 0:
-        raise ConfigurationError("beta must be positive")
-    rhs = _ode_rhs(variant, alpha, beta)
-
-    if alpha == 0.0 and y0 == 0.0:
-        ts = np.linspace(0.0, t_end, 2000)
-        return OdeOracle(t=ts, y=np.zeros_like(ts), blowup_time=None)
-
-    y_switch = max(1e8, 1e4 * (1.0 + y0), (alpha / beta) ** (1.0 / 3.0) * 10.0)
-    # upper bound for the blow-up time, used to cap the ODE time span
-    t_star_est = quad(lambda y: 1.0 / rhs(y), y0, np.inf, limit=200)[0]
-
-    def f(_t, y):
-        return [rhs(y[0])]
-
-    def hit_switch(_t, y):
-        return y[0] - y_switch
-
-    hit_switch.terminal = True
-    hit_switch.direction = 1.0
-
-    span_end = min(t_end, t_star_est) if math.isfinite(t_end) else t_star_est
-    span_end = max(span_end, 1e-30)
-    sol = solve_ivp(f, (0.0, span_end), [y0], method="RK45", rtol=1e-11,
-                    atol=1e-14, dense_output=True, events=hit_switch,
-                    max_step=span_end)
-    if sol.t_events[0].size:
-        t_reach = float(sol.t_events[0][0])
-        tail = quad(lambda y: 1.0 / rhs(y), y_switch, np.inf, limit=200)[0]
-        blowup_time = t_reach + tail
-        t_hi = min(t_end, t_reach)
-    else:
-        blowup_time = t_star_est
-        t_hi = min(t_end, float(sol.t[-1]))
-    ts = np.linspace(0.0, t_hi, 2000)
-    ys = sol.sol(ts)[0]
-    return OdeOracle(t=ts, y=ys, blowup_time=float(blowup_time))
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     l2: float
     h1_sq: float

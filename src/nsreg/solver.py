@@ -242,7 +242,7 @@ class _Stepper:
         self.grid = grid
         self.forcing = forcing
         self.config = config
-        self._lam = config.nu * to_band(grid.ksq, grid)
+        self._lam = config.nu * grid.laplace_band
         self._last_factors = (None, None)  # (dt, factors) of the last step
         self._steady = None  # band of a steady force, read-only
         if forcing.kind == "steady":

@@ -18,21 +18,30 @@ There are two layouts.  Public fields hold the full layout above.  The
 time stepper holds its state on the dealias band, shape (3, B, B, kc) with
 B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
 field because its modes with kz < 0 are the conjugates of those at -k.
-:func:`to_band` and :func:`from_band` convert between the two, and
-:func:`band_to_physical` and :func:`physical_to_band` transform the band
-in two FFT calls each, with the x-y passes restricted to the kz planes
-that the 2/3 rule keeps.  The fused 2-D x-y passes run on ``scipy.fft``.
-The z passes run on ``numpy.fft``, whose r2c and c2r transforms take
-``out=``, so the stepper writes them into the grid's transform workspace
-(:meth:`WaveGrid.take_workspace`); both libraries run the same pocketfft
-kernels, and the z passes are bit for bit those of ``scipy.fft``.
+:func:`to_band` and :func:`from_band` convert between the two.
+
+A convection transform keeps only the kz < kc planes, the ones the 2/3
+rule keeps, in a compact spectrum of shape (..., N, N, kc): the band is
+scattered into it and one 2-D x-y pass runs over it in place.  Then the
+x-planes are walked in blocks of r planes, r sized to a core's L2
+(:data:`_BLOCK_BYTES`): a block's c2r z pass pads its kc planes with
+zeros to the N/2 + 1 of the half spectrum, and a forward block's r2c
+z pass keeps its kc planes.  Velocity samples and flux so exist one
+block at a time (:func:`flux_contraction`); a field's samples, when a
+caller needs them all, come from :func:`band_to_physical` and go back
+through :func:`physical_to_band`.  The fused 2-D passes run on
+``scipy.fft``.  The z passes run on ``numpy.fft``, whose r2c and c2r
+transforms take ``out=``, so they write into the grid's transform
+workspace (:meth:`WaveGrid.take_workspace`); both libraries run the same
+pocketfft kernels, and the z passes are bit for bit those of
+``scipy.fft``, padded or not.
 
 From N = 64 (:data:`_SLAB_MIN_N`) a right-hand side runs on every usable
 CPU (:attr:`WaveGrid.workers`): the 2-D passes through ``scipy.fft``'s
-``workers=``, and the z passes, the flux product, the contraction and
-the Leray projection on x-slabs (:func:`_on_slabs`).  Every mode and
-sample is computed as in one piece, so results are bit for bit those of
-one worker.
+``workers=``, and the block walk, the contraction and the Leray
+projection on x-slabs (:func:`_on_slabs`), each slab walking its own
+blocks.  Every mode and sample is computed as in one piece, so results
+are bit for bit those of one worker and of any block size.
 """
 
 import contextvars
@@ -44,6 +53,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfftn, rfftn
@@ -61,6 +71,12 @@ _SNAPSHOT_HEADER = struct.Struct("<5sIdI")
 #: it the hand-offs cost more than the split saves (N = 32 lost in both
 #: benchmark pairs, 6.65 -> 8.69 and 6.25 -> 7.14 ms/step)
 _SLAB_MIN_N = 64
+
+#: bytes of one slab worker's block buffers (velocity samples, flux and
+#: the flux's z spectrum of r x-planes, :func:`_block_planes`): half the
+#: 2 MiB L2 of a core of the 2-vCPU Xeon host the benchmark ran on, which
+#: gives r = 2 at N = 64, r = 9 at N = 32 and one block up to N = 16
+_BLOCK_BYTES = 1 << 20
 
 _slab_pool = None  # ThreadPoolExecutor of the slabs (_pool)
 _slab_pool_lock = threading.Lock()
@@ -118,11 +134,59 @@ def _on_slabs(grid, rows, fn):
         future.result()
 
 
+def _block_planes(n):
+    """x-planes of a block at grid size ``n``: as many as fit
+    :data:`_BLOCK_BYTES`, at least 1 and at most ``n``."""
+    plane = 8 * 8 * n * n + 5 * 16 * n * (n // 2 + 1)
+    return max(1, min(n, _BLOCK_BYTES // plane))
+
+
+def _new_block(n):
+    """One slab worker's block buffers: velocity samples (3, r, N, N),
+    flux (5, r, N, N) and the flux's z spectrum (5, r, N, N/2 + 1)."""
+    r = _block_planes(n)
+    return (np.empty((3, r, n, n)), np.empty((5, r, n, n)),
+            np.empty((5, r, n, n // 2 + 1), dtype=np.complex128))
+
+
+def _on_blocks(grid, blocks, fn):
+    """Call ``fn(x, block)`` for consecutive slices ``x`` of at most r
+    x-planes that cover ``range(N)``, on x-slabs (:func:`_on_slabs`).
+    Each slab borrows one set of block buffers (:func:`_new_block`) from
+    the list ``blocks``, a new one when the list is empty, and puts it
+    back when done; ``block`` is that set cut to the planes of ``x``.
+    """
+    n = grid.n
+
+    def slab(x):
+        lo, hi, _ = x.indices(n)
+        try:
+            block = blocks.pop()
+        except IndexError:  # more slabs than the workspace was made for
+            block = _new_block(n)
+        try:
+            r = len(block[0][0])
+            for i in range(lo, hi, r):
+                m = min(r, hi - i)
+                fn(slice(i, i + m), block if m == r else [b[:, :m] for b in block])
+        finally:
+            blocks.append(block)
+
+    _on_slabs(grid, n, slab)
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 class WaveGrid:
     """Fourier lattice of an N^3 periodic grid with period ``length``.
 
     Integer wavenumbers per axis are a bijection with [-N/2, N/2); physical
-    wavevectors are scaled by 2*pi/length.  The grid also lends the
+    wavevectors are scaled by 2*pi/length.  The full-grid tables
+    :attr:`ksq_int`, :attr:`ksq` and :attr:`dealias_mask` are built on
+    first read; a run reads only the band tables.  The grid also lends the
     transform workspace of the stepper (:meth:`take_workspace`), and sets
     how many threads its transforms use, :attr:`workers`: every usable
     CPU from N = :data:`_SLAB_MIN_N`, else 1.
@@ -147,7 +211,11 @@ class WaveGrid:
         # -(kc - 1), ..., -1, i.e. the FFT layout of an odd grid of size
         # B = 2 kc - 1, and kz = 0, ..., kc - 1.
         self.band_index = np.flatnonzero(keep)
-        self.kc = (len(self.band_index) + 1) // 2
+        self.kc = kc = (len(self.band_index) + 1) // 2
+        # per axis, (band rows, grid rows) of the band's two runs of
+        # wavenumbers, 0, ..., kc - 1 and -(kc - 1), ..., -1
+        self.band_runs = ((slice(None, kc), slice(None, kc)),
+                          (slice(kc, None), slice(self.n - kc + 1, None)))
 
         with np.errstate(over="ignore", under="ignore"):
             volume = np.float64(self.length) ** 3
@@ -159,16 +227,6 @@ class WaveGrid:
                     "not finite and positive")
 
         self.kx = self.scale * k_int
-        gx = k_int[:, None, None]
-        gy = k_int[None, :, None]
-        gz = k_int[None, None, :]
-        self.ksq_int = gx * gx + gy * gy + gz * gz
-        self.ksq = self.scale**2 * self.ksq_int
-
-        self.dealias_mask = (
-            keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-        )
-        assert (2 * self.kc - 1) ** 3 == self.dealias_mask.sum()
         self.kx_band = self.kx[self.band_index]
         self.kz_band = self.kx[: self.kc]
         # |k|^2 on the band as the Leray projection forms it, with 1 at the
@@ -176,19 +234,22 @@ class WaveGrid:
         bx, by = self.kx_band[:, None, None], self.kx_band[None, :, None]
         self.ksq_band = bx * bx + by * by + self.kz_band * self.kz_band
         self.ksq_band[0, 0, 0] = 1.0
+        # scale^2 |k_int|^2 on the band, 0 at the origin: the eigenvalues of
+        # -Laplace, to_band(ksq) bit for bit, which rounds differently from
+        # ksq_band when L is not 2 pi
+        ib, iz = k_int[self.band_index], k_int[: self.kc]
+        ix, iy = ib[:, None, None], ib[:, None]
+        self.laplace_band = self.scale**2 * (ix * ix + iy * iy + iz * iz)
         # multiplicity * |k|^(2m), m = 0, 1, 2, on the band: weights of the
         # squared norms.  A band mode with kz > 0 stands for itself and its
         # conjugate at -k, so the multiplicity is 1 at kz = 0 and 2 elsewhere.
-        ksq_band = to_band(self.ksq, self)
+        lap = self.laplace_band
         multiplicity = np.full(self.kc, 2.0)
         multiplicity[0] = 1.0
-        self.norm_weights_band = multiplicity * np.stack(
-            [np.ones_like(ksq_band), ksq_band, ksq_band**2]
-        )
+        self.norm_weights_band = multiplicity * np.stack([np.ones_like(lap), lap, lap**2])
 
-        for arr in (self.k_int, self.kx, self.ksq_int, self.ksq, self.dealias_mask,
-                    self.band_index, self.kx_band, self.kz_band, self.ksq_band,
-                    self.norm_weights_band):
+        for arr in (self.k_int, self.kx, self.band_index, self.kx_band, self.kz_band,
+                    self.ksq_band, self.laplace_band, self.norm_weights_band):
             arr.setflags(write=False)
 
         self.workers = _usable_cpus() if self.n >= _SLAB_MIN_N else 1
@@ -196,19 +257,22 @@ class WaveGrid:
         self._workspace_lock = threading.Lock()
 
     def take_workspace(self):
-        """Borrow the arrays of the convection transforms, views on two byte
-        buffers X and Y: ``(spread, u, flux, spec, fband)``.  Hand them back
-        with :meth:`give_back_workspace`.
+        """Borrow the transform arrays of :func:`flux_contraction` and
+        :func:`random_divfree_field`: ``(low, spec, fband, noise, blocks)``,
+        views on two byte buffers X and Y, and block buffers.  Hand them
+        back with :meth:`give_back_workspace`.
 
-        X holds ``spread``, the zero-padded half spectrum of the velocity,
-        then ``flux``, Basdevant's five-component flux, then ``fband``, the
-        band of its spectrum; Y holds ``u``, the velocity samples, then
-        ``spec``, the flux's z spectrum (see :func:`flux_contraction`).
-        Each array is dead before the next one on its buffer is written.
-        The buffers are made on first use and kept for the next caller, so
-        a time step allocates no full-grid array.  A caller that finds them
-        lent (to another thread, or further up its own stack) gets new
-        buffers.  Contents are undefined.
+        X holds ``low``, a compact spectrum (3, N, N, kc) (see
+        :func:`band_to_physical`), the velocity's or the noise's, then
+        ``fband``, the band of the flux spectrum.  Y holds ``spec``, the
+        flux's compact spectrum (5, N, N, kc), or ``noise``, the random
+        field's real samples (3, N, N, N).  Each array is dead before the
+        next one on its buffer is written.  ``blocks`` lists one set of
+        block buffers per slab worker (:func:`_on_blocks`).  The arrays are
+        made on first use and kept for the next caller, so a time step
+        allocates no full-grid array.  A caller that finds them lent (to
+        another thread, or further up its own stack) gets new ones.
+        Contents are undefined.
         """
         with self._workspace_lock:
             work, self._idle_workspace = self._idle_workspace, None
@@ -221,7 +285,7 @@ class WaveGrid:
                 self._idle_workspace = work
 
     def _new_workspace(self):
-        n, half, kc = self.n, self.n // 2 + 1, self.kc
+        n, kc = self.n, self.kc
         b = 2 * kc - 1
 
         def views(*layouts):
@@ -229,10 +293,27 @@ class WaveGrid:
             buf = np.empty(max(size), dtype=np.uint8)
             return [buf[:k].view(dtype).reshape(shape) for k, (dtype, shape) in zip(size, layouts)]
 
-        spread, flux, fband = views((np.complex128, (3, n, n, half)), (np.float64, (5, n, n, n)),
-                                    (np.complex128, (5, b, b, kc)))
-        u, spec = views((np.float64, (3, n, n, n)), (np.complex128, (5, n, n, half)))
-        return spread, u, flux, spec, fband
+        low, fband = views((np.complex128, (3, n, n, kc)), (np.complex128, (5, b, b, kc)))
+        spec, noise = views((np.complex128, (5, n, n, kc)), (np.float64, (3, n, n, n)))
+        return low, spec, fband, noise, [_new_block(n) for _ in range(self.workers)]
+
+    @cached_property
+    def ksq_int(self):
+        """|k_int|^2 on the full grid, FFT layout."""
+        gx, gy, gz = self.k_int[:, None, None], self.k_int[None, :, None], self.k_int
+        return _read_only(gx * gx + gy * gy + gz * gz)
+
+    @cached_property
+    def ksq(self):
+        """|k|^2 = scale^2 |k_int|^2 on the full grid, FFT layout."""
+        return _read_only(self.scale**2 * self.ksq_int)
+
+    @cached_property
+    def dealias_mask(self):
+        """Whether each mode of the full grid is on the dealias band."""
+        keep = np.zeros(self.n, dtype=bool)
+        keep[self.band_index] = True
+        return _read_only(keep[:, None, None] & keep[None, :, None] & keep)
 
     @property
     def lam1(self):
@@ -349,7 +430,7 @@ def _worst_divergence(c, kxy, kz):
 def _divergence_tolerance(grid, peak):
     """Largest max |k . uhat| :meth:`SpectralVelocity.validate` accepts for
     a field of largest coefficient modulus ``peak``."""
-    return 1e-12 * peak * float(np.sqrt(grid.ksq.max()))
+    return 1e-12 * peak * math.sqrt(grid.scale**2 * (3 * (grid.n // 2) ** 2))
 
 
 def hermitian_adjoint(arr):
@@ -461,56 +542,76 @@ def trilinear_b(u, v, w):
     return float((conv * w_phys).sum() * grid.cell_volume)
 
 
-def band_to_physical(band, grid, spread, out):
+def _xy_inverse(band, grid, low):
+    """Write a band into ``low``, its compact spectrum (complex, shape
+    (..., N, N, kc)), zero elsewhere, and run the 2-D inverse pass over x,
+    then y, in place; returns ``low``."""
+    runs, gap = grid.band_runs, slice(grid.kc, grid.n - grid.kc + 1)
+    low[..., gap, :, :] = 0.0
+    for bx, sx in runs:
+        low[..., sx, gap, :] = 0.0
+        for by, sy in runs:
+            low[..., sx, sy, :] = band[..., bx, by, :]
+    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
+    if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
+        low[...] = done
+    return low
+
+
+def _xy_forward(low, grid, out):
+    """The 2-D forward pass over x, then y, of a compact spectrum ``low``
+    (overwritten), gathered into ``out`` (complex, shape (..., B, B, kc)),
+    which is returned."""
+    spec = fftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
+    for bx, sx in grid.band_runs:
+        for by, sy in grid.band_runs:
+            out[..., bx, by, :] = spec[..., sx, sy, :]
+    return out
+
+
+def band_to_physical(band, grid, low, out):
     """Collocation samples of a field given by its dealias band.
 
     Equal to ``irfftn`` of the zero-padded half spectrum, with the same
     axis order (x, then y, then the c2r pass along z), in 2 calls: the
-    band is scattered once into zeros of the half-spectrum shape, one 2-D
-    pass runs over the N * kc x lines and N * kc y lines with a retained
-    kz, and the c2r pass over the N * N z lines gets all N/2 + 1 planes,
-    so nothing is padded.  ``spread`` (complex, shape (..., N, N, N/2 + 1))
-    is the buffer of the half spectrum, overwritten, and ``out`` (float,
-    shape (..., N, N, N)) the one of the samples, returned; the stepper
-    lends both from :meth:`WaveGrid.take_workspace`.  The passes run on
-    ``grid.workers`` threads, the c2r pass on x-slabs.
+    band is written into ``low``, the compact spectrum of the kz < kc
+    planes (complex, shape (..., N, N, kc), overwritten), one 2-D pass
+    runs over its N * kc x lines and N * kc y lines, and the c2r pass over
+    the N * N z lines pads each with zeros to the N/2 + 1 of the half
+    spectrum.  ``out`` (float, shape (..., N, N, N)) holds the samples and
+    is returned.  The passes run on ``grid.workers`` threads, the c2r pass
+    on x-slabs.
     """
-    kc, index = grid.kc, grid.band_index
-    spread.fill(0.0)
-    spread[..., index[:, None], index, :kc] = band
-    low = spread[..., :kc]
-    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
-    if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
-        low[...] = done
-    _on_slabs(grid, grid.n, lambda x: irfftn(spread[..., x, :, :], axes=(-1,), norm="forward",
-                                             out=out[..., x, :, :]))
+    n = grid.n
+    _xy_inverse(band, grid, low)
+    _on_slabs(grid, n, lambda x: irfftn(low[..., x, :, :], s=(n,), axes=(-1,), norm="forward",
+                                        out=out[..., x, :, :]))
     return out
 
 
-def physical_to_band(samples, grid, spec, out):
+def physical_to_band(samples, grid, low, out, blocks):
     """Dealias band of the spectrum of real collocation samples.
 
     Equal to ``rfftn`` followed by the band gather, with the same axis
-    order (r2c along z, then x, then y), in 2 calls: the r2c pass over the
-    N * N z lines, then one 2-D pass over the N * kc x lines and N * kc y
-    lines with a retained kz, then one gather.  Bit for bit equal when N
-    is a power of two; the passes scale by 1/N and 1/N^2, where ``rfftn``
-    scales once by 1/N^3.  ``spec`` (complex, shape (..., N, N, N/2 + 1))
-    is a buffer for the z spectrum, overwritten, and ``out`` (complex,
-    shape (..., B, B, kc)) one for the band, returned.  The passes run on
-    ``grid.workers`` threads, the r2c pass on x-slabs.
+    order (r2c along z, then x, then y): the r2c pass over the N * N z
+    lines, by blocks of x-planes (:func:`_on_blocks`, with the block
+    buffers ``blocks``), whose kz < kc planes are kept in ``low`` (complex,
+    shape (c, N, N, kc), overwritten), then one 2-D pass over its N * kc x
+    lines and N * kc y lines, then one gather into ``out`` (complex, shape
+    (c, B, B, kc)), which is returned.  ``samples`` has shape (c, N, N, N)
+    with c <= 5.  Bit for bit equal when N is a power of two; the passes
+    scale by 1/N and 1/N^2, where ``rfftn`` scales once by 1/N^3.  The
+    passes run on ``grid.workers`` threads.
     """
-    n, kc = grid.n, grid.kc
-    _on_slabs(grid, n, lambda x: rfftn(samples[..., x, :, :], axes=(-1,), norm="forward",
-                                       out=spec[..., x, :, :]))
-    spec = fftn(spec[..., :kc], axes=(-3, -2), norm="forward", overwrite_x=True,
-                workers=grid.workers)
-    # per axis the band holds the rows 0, ..., kc - 1 and N - kc + 1, ..., N - 1
-    rows = ((slice(None, kc), slice(None, kc)), (slice(kc, None), slice(n - kc + 1, None)))
-    for bx, sx in rows:
-        for by, sy in rows:
-            out[..., bx, by, :] = spec[..., sx, sy, :]
-    return out
+    kc = grid.kc
+
+    def leg(x, block):
+        spec = block[2][: len(samples)]
+        rfftn(samples[:, x], axes=(-1,), norm="forward", out=spec)
+        low[:, x] = spec[..., :kc]
+
+    _on_blocks(grid, blocks, leg)
+    return _xy_forward(low, grid, out)
 
 
 def flux_contraction(band, grid, speed=False):
@@ -523,20 +624,33 @@ def flux_contraction(band, grid, speed=False):
     Uses the divergence form  sum_i d F_ij / d x_i = i k_i F_ij  of the
     flux F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the
     3 inverse real 3-D transforms of u and the 5 forward ones of F, pruned
-    to the band, in the buffers of :meth:`WaveGrid.take_workspace`.  The 2/3
-    rule makes the retained modes of each product alias-free.  The sum is
-    accumulated in place, in the order (k_x F_xj + k_y F_yj) + k_z F_zj.
-    The product and the sum run on x-slabs (:func:`_on_slabs`).
+    to the band, in the arrays of :meth:`WaveGrid.take_workspace`.  The
+    transforms are those of :func:`band_to_physical` and
+    :func:`physical_to_band`, with the c2r pass, the product and the r2c
+    pass fused by blocks of x-planes (:func:`_on_blocks`), so u and F
+    exist one block at a time.  The 2/3 rule makes the retained modes of
+    each product alias-free.  The sum is accumulated in place, in the
+    order (k_x F_xj + k_y F_yj) + k_z F_zj, on x-slabs (:func:`_on_slabs`).
     With ``speed``, returns ``(out, max |u|)``: the largest velocity
     component on the collocation grid.
     """
-    spread, u, flux, spec, f = work = grid.take_workspace()
+    n, kc = grid.n, grid.kc
+    low, spec, f, _, blocks = work = grid.take_workspace()
+    tops = []  # the blocks' max u and -min u
     try:
-        band_to_physical(band, grid, spread, u)
-        if speed:
-            top = float(max(u.max(), -u.min()))
-        _on_slabs(grid, grid.n, lambda x: _kernels.convective_product(u[:, x], out=flux[:, x]))
-        physical_to_band(flux, grid, spec, f)
+        _xy_inverse(band, grid, low)
+
+        def leg(x, block):
+            u, flux, zspec = block
+            irfftn(low[:, x], s=(n,), axes=(-1,), norm="forward", out=u)
+            if speed:
+                tops.extend((u.max(), -u.min()))
+            _kernels.convective_product(u, out=flux)
+            rfftn(flux, axes=(-1,), norm="forward", out=zspec)
+            spec[:, x] = zspec[..., :kc]
+
+        _on_blocks(grid, blocks, leg)
+        _xy_forward(spec, grid, f)
         kx, ky, kz = grid.kx_band[:, None, None], grid.kx_band[None, :, None], grid.kz_band
         out = np.empty((3,) + f.shape[1:], dtype=np.complex128)
 
@@ -551,7 +665,7 @@ def flux_contraction(band, grid, speed=False):
         _on_slabs(grid, len(grid.kx_band), contract)
     finally:
         grid.give_back_workspace(work)
-    return (out, top) if speed else out
+    return (out, float(np.max(tops))) if speed else out
 
 
 def to_band(coefficients, grid):
@@ -623,7 +737,7 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     :class:`ConfigurationError`.
 
     The noise is drawn into the grid's transform workspace and taken to
-    the dealias band in two FFT calls (:func:`physical_to_band`); the
+    the dealias band by :func:`physical_to_band`; the
     projection, shaping and norm act on the band only, and the field is
     written once, by :func:`from_band`.
     """
@@ -636,11 +750,10 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
         return SpectralVelocity(grid, np.zeros((3, n, n, n), dtype=np.complex128))
     rng = np.random.default_rng(seed)
     c = np.empty((3,) + grid.ksq_band.shape, dtype=np.complex128)
-    _, _, flux, spec, _ = work = grid.take_workspace()
+    low, _, _, noise, blocks = work = grid.take_workspace()
     try:
-        # the noise on buffer X, its z spectrum on buffer Y: they must not share one
-        noise = rng.standard_normal(out=flux[:3])
-        physical_to_band(noise, grid, spec[:3], c)
+        # the noise on buffer Y, its compact spectrum on buffer X: they must not share one
+        physical_to_band(rng.standard_normal(out=noise), grid, low, c, blocks)
     finally:
         grid.give_back_workspace(work)
     c[..., 0] = hermitian_plane(c)  # real noise: Hermitian to rounding, now exactly

@@ -18,7 +18,6 @@ from nsreg import (
     classical_horizon_free,
     derive_constants,
     make_wavegrid,
-    ode_comparison_oracle,
     random_divfree_field,
     shear_field,
     simulate,
@@ -32,6 +31,8 @@ from nsreg.monitor import (
     check_h1_inequality,
 )
 from nsreg.spectral import SpectralVelocity
+
+from conftest import ode_comparison_oracle
 
 
 def announce(number, text):

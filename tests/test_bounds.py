@@ -29,9 +29,10 @@ from nsreg import (
     classical_horizon_free,
     derive_constants,
     interval_comparison,
-    ode_comparison_oracle,
 )
 from nsreg.bounds import SYMBOL_MAP, THRESHOLD
+
+from conftest import ode_comparison_oracle
 
 
 @pytest.fixture(scope="module")
@@ -439,14 +440,15 @@ def test_oracle_arctan_variant_closed_form():
 
 def test_import_loads_scipy_integrate_only_in_the_oracle():
     # a cold nsreg process (library or CLI) must not pay for scipy.integrate;
-    # the oracle loads it when called and keeps its results
+    # only the test-side oracle loads it, and keeps its results there
     src = os.path.dirname(os.path.dirname(nsreg.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        [src, os.path.dirname(__file__)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     script = (
         "import sys, nsreg, nsreg.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
-        "oracle = nsreg.ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant='arctan_form')\n"
+        "from conftest import ode_comparison_oracle\n"
+        "oracle = ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant='arctan_form')\n"
         "print(repr(oracle.blowup_time))\n"
         "print('scipy.integrate' in sys.modules)\n"
     )

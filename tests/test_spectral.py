@@ -26,7 +26,7 @@ from nsreg import (
     trilinear_b,
 )
 from nsreg import _kernels, spectral
-from nsreg.solver import ForcingSpec, SolverConfig, _Stepper
+from nsreg.solver import ForcingSpec, SolverConfig, _Stepper, kolmogorov_forcing, simulate
 from nsreg.spectral import (
     band_to_physical,
     field_with_norms,
@@ -113,16 +113,17 @@ def _to_physical(band, g):
     """band_to_physical into NaN-filled buffers, so every value it returns
     was written by the call, as in a reused workspace."""
     lead, n = band.shape[:-3], g.n
-    spread = np.full(lead + (n, n, n // 2 + 1), np.nan, dtype=np.complex128)
-    return band_to_physical(band, g, spread, np.full(lead + (n, n, n), np.nan))
+    low = np.full(lead + (n, n, g.kc), np.nan, dtype=np.complex128)
+    return band_to_physical(band, g, low, np.full(lead + (n, n, n), np.nan))
 
 
 def _to_band(samples, g):
-    """physical_to_band into NaN-filled buffers (see _to_physical)."""
+    """physical_to_band into NaN-filled buffers (see _to_physical), with
+    block buffers of its own."""
     lead, n, b = samples.shape[:-3], g.n, 2 * g.kc - 1
-    spec = np.full(lead + (n, n, n // 2 + 1), np.nan, dtype=np.complex128)
-    return physical_to_band(samples, g, spec,
-                            np.full(lead + (b, b, g.kc), np.nan, dtype=np.complex128))
+    low = np.full(lead + (n, n, g.kc), np.nan, dtype=np.complex128)
+    return physical_to_band(samples, g, low,
+                            np.full(lead + (b, b, g.kc), np.nan, dtype=np.complex128), [])
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -157,12 +158,112 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     assert np.array_equal(_to_physical(band, g), samples)
     full = rfftn(samples, axes=(-3, -2, -1), norm="forward")
     assert np.array_equal(_to_band(samples, g), to_band(full, g))
-    for _ in range(2):  # in the grid's workspace, as the stepper calls them, stale on reuse
-        spread, u, flux, spec, f = work = g.take_workspace()
-        assert np.array_equal(band_to_physical(band, g, spread, u), samples)
-        flux[:3] = samples
-        assert np.array_equal(physical_to_band(flux[:3], g, spec[:3], f[:3]), to_band(full, g))
+    for _ in range(2):  # in the grid's workspace, as the random field uses it, stale on reuse
+        low, _, _, noise, blocks = work = g.take_workspace()
+        assert np.array_equal(band_to_physical(band, g, low, noise), samples)
+        got = physical_to_band(noise, g, low, np.empty_like(band), blocks)
+        assert np.array_equal(got, to_band(full, g))
         g.give_back_workspace(work)
+
+
+def test_compact_c2r_equals_padded_c2r():
+    # band_to_physical and flux_contraction hand numpy's c2r pass only the
+    # kz < kc planes and s=(N,): numpy pads them with zeros to N/2 + 1, and
+    # the samples must be those of the padded half spectrum bit for bit
+    rng = np.random.default_rng(3)
+    for n in (8, 12, 16, 64):
+        kc = make_wavegrid(n).kc
+        low = rng.standard_normal((3, 5, n, kc)) + 1j * rng.standard_normal((3, 5, n, kc))
+        padded = np.zeros((3, 5, n, n // 2 + 1), dtype=np.complex128)
+        padded[..., :kc] = low
+        want = np.fft.irfftn(padded, axes=(-1,), norm="forward")
+        out = np.full((3, 7, n, n), np.nan)[:, :5]  # a block's strided view, as the walk passes
+        assert np.fft.irfftn(low, s=(n,), axes=(-1,), norm="forward", out=out) is out
+        assert np.array_equal(out, want)
+
+
+def _full_flux_contraction(band, g):
+    """flux_contraction and its speed from full 3-D irfftn/rfftn of the
+    padded half spectrum: the oracle of the block walk."""
+    import scipy.fft
+
+    n = g.n
+    u = scipy.fft.irfftn(from_band(band, g)[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
+                         norm="forward")
+    f = to_band(scipy.fft.rfftn(_kernels.convective_product(u), axes=(-3, -2, -1),
+                                norm="forward"), g)
+    kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
+    out = np.stack([kx * f[0] + ky * f[1] + kz * f[2], kx * f[1] + ky * f[3] + kz * f[4],
+                    kx * f[2] + ky * f[4]])
+    return out, float(max(u.max(), -u.min()))
+
+
+def _full_physical_to_band(samples, grid, low, out, blocks):
+    import scipy.fft
+
+    out[...] = to_band(scipy.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward"), grid)
+    return out
+
+
+def _assert_leg_matches_full_transforms(g, monkeypatch):
+    band = to_band(random_divfree_field(g, 11, -2.0, 3.0).coefficients, g)
+    want, want_speed = _full_flux_contraction(band, g)
+    for _ in range(2):  # fresh, then reused block buffers
+        got, speed = flux_contraction(band, g, speed=True)
+        assert np.array_equal(got, want) and speed == want_speed
+        assert np.array_equal(flux_contraction(band, g), want)
+    got = random_divfree_field(g, 5, -5.0 / 3.0, 2.0).coefficients
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "physical_to_band", _full_physical_to_band)
+        want = random_divfree_field(g, 5, -5.0 / 3.0, 2.0).coefficients
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_block_walk_equals_full_transforms_bitwise(monkeypatch, n):
+    _assert_leg_matches_full_transforms(make_wavegrid(n), monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_that_do_not_divide_the_slab(monkeypatch, workers):
+    # r = 3 at N = 64: slabs of 64 or 32 x-planes end in a block of 1 or 2
+    plane = spectral._BLOCK_BYTES // spectral._block_planes(64)
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 3 * plane + 1)
+    assert spectral._block_planes(64) == 3
+    g = make_wavegrid(64)
+    monkeypatch.setattr(g, "workers", workers)
+    _assert_leg_matches_full_transforms(g, monkeypatch)
+
+
+def test_block_planes_fit_the_cache_budget():
+    assert [spectral._block_planes(n) for n in (8, 16, 32, 64, 96, 128)] == [8, 16, 9, 2, 1, 1]
+
+
+def test_workspace_at_n64_holds_no_full_grid_scratch(monkeypatch):
+    # two compact buffers of 11.5 MB in all, where the half-spectrum
+    # workspace took 21.3 MB, and at most 1 MiB of blocks per slab worker
+    g = make_wavegrid(64)
+    monkeypatch.setattr(g, "workers", 2)
+    low, spec, fband, noise, blocks = g.take_workspace()
+    assert np.shares_memory(low, fband) and np.shares_memory(spec, noise)
+    assert not np.shares_memory(low, spec)
+    assert max(low.nbytes, fband.nbytes) + max(spec.nbytes, noise.nbytes) <= 11.6e6
+    assert len(blocks) == 2 and all(sum(a.nbytes for a in b) <= 2**20 for b in blocks)
+    arrays = [low, spec, fband, noise] + [a for b in blocks for a in b]
+    real_grids = [a for a in arrays if a.dtype == np.float64 and a.shape[-3:] == (64,) * 3]
+    assert len(real_grids) == 1 and real_grids[0] is noise
+
+
+def test_a_run_builds_no_full_grid_table():
+    g = make_wavegrid(64)
+    rk2 = SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3, integrator="if_rk2", cfl=0.5)
+    for forcing, cfg in ((ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3)),
+                         (kolmogorov_forcing(g, 5.0), rk2)):
+        simulate(random_divfree_field(g, 1), forcing, cfg)
+    assert not {"ksq_int", "ksq", "dealias_mask"} & set(vars(g))
+    # built on first read, as the eager tables were
+    assert np.array_equal(to_band(g.ksq, g), g.laplace_band)
+    assert not g.ksq.flags.writeable and g.dealias_mask.sum() == (2 * g.kc - 1) ** 3
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
