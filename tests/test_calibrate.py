@@ -15,6 +15,7 @@ from nsreg import (
     shear_field,
     sobolev_norm,
 )
+from nsreg import calibrate
 from nsreg.calibrate import calibrate_constants, embedding_ratios
 from nsreg.spectral import hermitian_adjoint
 
@@ -51,6 +52,34 @@ def test_ratios_reject_bad_oversample():
     grid = make_wavegrid(8)
     with pytest.raises(ConfigurationError):
         embedding_ratios(shear_field(grid, 1.0), oversample=1)
+
+
+@pytest.mark.parametrize("oversample", [math.nan, math.inf, -math.inf, "4", 2.5, True, None])
+def test_ratios_reject_non_integer_oversample(oversample):
+    grid = make_wavegrid(8)
+    with pytest.raises(ConfigurationError):
+        embedding_ratios(shear_field(grid, 1.0), oversample=oversample)
+
+
+@pytest.mark.parametrize("n_ensemble", [2.5, True, "2", math.nan, math.inf, 0])
+def test_calibration_rejects_non_integer_ensemble(n_ensemble):
+    with pytest.raises(ConfigurationError):
+        calibrate_constants(make_wavegrid(8), n_ensemble, oversample=2)
+
+
+def test_integral_float_counts_are_accepted():
+    grid = make_wavegrid(8)
+    u = shear_field(grid, 1.0)
+    assert embedding_ratios(u, oversample=2.0) == embedding_ratios(u, oversample=2)
+    result = calibrate_constants(grid, 2.0, oversample=2.0)
+    assert type(result.n_ensemble) is int
+    assert result == calibrate_constants(grid, 2, oversample=2)
+
+
+def test_ratios_are_plain_floats():
+    ratios = embedding_ratios(random_divfree_field(make_wavegrid(8), 1, -2.0, 1.0))
+    assert type(ratios.l6_over_grad) is float
+    assert type(ratios.l3_over_interp) is float
 
 
 def test_single_member_ensemble_equals_field_ratio():
@@ -137,24 +166,31 @@ def _field_with_nyquist(n, seed=7):
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
-@pytest.mark.parametrize("oversample", [2, 3, 4])
-def test_ratios_bitwise_equal_padded_copy_formula(n, oversample):
+@pytest.mark.parametrize("oversample", [2, 3, 4, 5])
+def test_ratios_bitwise_equal_padded_copy_formula(n, oversample, monkeypatch):
     u = _field_with_nyquist(n)
-    ratios = embedding_ratios(u, oversample=oversample)
     l6, l3 = _oracle_ratios(u, oversample)
-    assert ratios.l6_over_grad.hex() == float(l6).hex()
-    assert ratios.l3_over_interp.hex() == float(l3).hex()
+    # the default blocks, then blocks of 7 x-planes, a count that divides no m here
+    for planes in (None, 7):
+        if planes is not None:
+            assert (oversample * n) % planes != 0
+            monkeypatch.setattr(calibrate, "_block_planes", lambda m, n: planes)
+        ratios = embedding_ratios(u, oversample=oversample)
+        assert ratios.l6_over_grad.hex() == float(l6).hex()
+        assert ratios.l3_over_interp.hex() == float(l3).hex()
 
 
-def test_ratios_allocate_at_most_three_fine_spectra():
-    u = random_divfree_field(make_wavegrid(16), 3, -2.0, 1.0)
+@pytest.mark.parametrize("n", [16, 32])
+def test_ratios_peak_is_one_fine_accumulator_and_a_compact_spectrum(n):
+    u = random_divfree_field(make_wavegrid(n), 3, -2.0, 1.0)
     embedding_ratios(u, oversample=4)  # warm: first-call caches of the FFT library
-    fine_spectrum = 16 * 64**3
+    m = 4 * n
     tracemalloc.start()
     try:
         embedding_ratios(u, oversample=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one complex spectrum plus the real samples and accumulator: 2 spectra
-    assert peak <= 3 * fine_spectrum, peak / fine_spectrum
+    # the real (m, m, m) accumulator, the complex (m, n, n) spectrum after
+    # the x pass, and the block buffers (about 1 MiB) with slack
+    assert peak <= 8 * m**3 + 16 * m * n * n + 1.5 * 2**20, peak / 2**20
