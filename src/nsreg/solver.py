@@ -7,14 +7,16 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  A run takes the dealias band (see :mod:`nsreg.spectral`) of a
-public field at entry and gives a public field back at exit, and holds
-its state on the band in between: stages, samples, invariant checks and
-the CFL speed all work there.  A field with content outside the band is
-refused.  After each step of a run the state's kz = 0 plane is
-replaced by its Hermitian part, as :func:`spectral.from_band` does for
-:func:`step`, so the plane is Hermitian by construction and a run is a
-loop of :func:`step` bit for bit.  Every accepted step appends L2/H1/H2
+option).  A run takes the dealias band (see :mod:`nsreg.spectral`) of
+its initial field at entry, the field's own when it holds one, and
+gives back a field that holds the last band
+(:meth:`SpectralVelocity.from_band`); in between, stages, samples,
+invariant checks and the CFL speed all work on the band.  A field with
+content outside the band is refused.  After each step of a run the
+state's kz = 0 plane is replaced by its Hermitian part, as
+:meth:`SpectralVelocity.from_band` does for :func:`step`, so the plane
+is Hermitian by construction and a run is a loop of :func:`step` bit
+for bit.  Every accepted step appends L2/H1/H2
 norms, the force inner product, and trapezoidal running integrals to a
 :class:`NormTrace`.
 """
@@ -40,7 +42,6 @@ from .spectral import (
     SpectralVelocity,
     _on_slabs,
     flux_contraction,
-    from_band,
     hermitian_plane,
     shear_field,
     to_band,
@@ -195,39 +196,22 @@ class NormTrace:
         return cls(**columns, nu=nu)
 
 
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Outcome of one run: its norm trace, how it ended (``termination`` is
     "completed" or "blowup") and its final state.
 
-    ``final_state`` is the public field at the last accepted time.  A
-    caller may pass it in.  :func:`simulate` passes ``band_state`` instead,
-    the pair (grid, band) of the last state: the field is built from it on
-    first read and cached, so a run whose caller reads only the trace
-    never allocates it, and every read returns the same object.
+    ``final_state`` is the field at the last accepted time.  :func:`simulate`
+    gives it on the band (:meth:`SpectralVelocity.from_band`), so a run
+    whose caller reads only the trace never builds its coefficients.
     """
 
-    def __init__(self, trace, final_state, termination, blowup_time, blowup_reason,
-                 wall_time_s, *, band_state=None):
-        if (final_state is None) == (band_state is None):
-            raise TypeError("give exactly one of final_state and band_state")
-        self.trace = trace
-        self.termination = termination
-        self.blowup_time = blowup_time
-        self.blowup_reason = blowup_reason
-        self.wall_time_s = wall_time_s
-        self._band_state = band_state
-        if final_state is not None:
-            self._final_state = final_state
-
-    @property
-    def final_state(self):
-        field = self.__dict__.get("_final_state")
-        if field is None:
-            # setdefault is atomic: threads racing to build it all get the first one stored
-            grid, band = self._band_state
-            field = self.__dict__.setdefault("_final_state",
-                                             SpectralVelocity(grid, from_band(band, grid)))
-        return field
+    trace: NormTrace
+    final_state: SpectralVelocity
+    termination: str
+    blowup_time: Optional[float]
+    blowup_reason: Optional[str]
+    wall_time_s: float
 
 
 class _Stepper:
@@ -346,11 +330,16 @@ class _Stepper:
 
 
 def _band(u):
-    """Dealias band of a field, or :class:`ConfigurationError` if the field
-    has content outside the band."""
-    band = to_band(u.coefficients, u.grid)
-    half = u.coefficients[..., : u.grid.n // 2 + 1]  # kz >= 0: a view, not a copy
-    if np.count_nonzero(half) != np.count_nonzero(band):
+    """Dealias band of a field (read-only for a field that holds its band),
+    or :class:`ConfigurationError` if the field has content outside the band."""
+    if u.band is not None:
+        return u.band
+    grid, c = u.grid, u.coefficients
+    band = to_band(c, grid)
+    # the band's mirror at kz < 0, as views: a nonzero on neither lies off the band
+    mirror = (c[..., sx, sy, grid.n - grid.kc + 1:] for _, sx in grid.band_runs
+              for _, sy in grid.band_runs)
+    if np.count_nonzero(c) != np.count_nonzero(band) + sum(map(np.count_nonzero, mirror)):
         raise ConfigurationError(
             "field has content outside the dealias band; truncate it with "
             "u.copy_with(u.coefficients * grid.dealias_mask)")
@@ -375,7 +364,7 @@ def step(u, forcing, t, dt, config):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
         )
-    return SpectralVelocity(grid, from_band(new, grid))
+    return SpectralVelocity.from_band(grid, new)
 
 
 def _sample(grid, band, fband, f_sq=None):
@@ -477,8 +466,7 @@ def simulate(u0, forcing, config):
                       int_f_sq=running_integral(f_sq), nu=config.nu)
     return SimulationResult(
         trace=trace,
-        final_state=None,
-        band_state=(grid, c),  # the final state, built when read
+        final_state=SpectralVelocity.from_band(grid, c),
         termination=termination,
         blowup_time=blowup_time,
         blowup_reason=blowup_reason,

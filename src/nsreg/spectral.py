@@ -14,11 +14,13 @@ Quadratic products are dealiased with the 2/3 rule: only modes with
 modes alias-free on the N^3 grid and makes the collocation quadrature of
 triple products exact.
 
-There are two layouts.  Public fields hold the full layout above.  The
+There are two layouts.  Public fields show the full layout above.  The
 time stepper holds its state on the dealias band, shape (3, B, B, kc) with
 B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
 field because its modes with kz < 0 are the conjugates of those at -k.
-:func:`to_band` and :func:`from_band` convert between the two.
+:func:`to_band` and :func:`from_band` convert between the two.  The
+fields nsreg makes on the band hold the band and build the full layout
+when it is first read (:meth:`SpectralVelocity.from_band`).
 
 A convection transform keeps only the kz < kc planes, the ones the 2/3
 rule keeps, in a compact spectrum of shape (..., N, N, kc): the band is
@@ -51,7 +53,6 @@ import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 
@@ -362,20 +363,21 @@ def make_wavegrid(n, length=TWO_PI):
     return WaveGrid(n, length)
 
 
-@dataclass(frozen=True)
 class SpectralVelocity:
     """Divergence-free, zero-mean velocity field given by Fourier coefficients.
 
     ``coefficients`` has shape (3, N, N, N), complex128, in numpy FFT layout.
-    Instances are treated as immutable; the array is marked read-only.
+    Instances are immutable; the array is marked read-only.
+
+    A field made by :meth:`from_band` holds its dealias band, ``band``
+    (None for a field made from coefficients), and builds ``coefficients``
+    on first read, so a run that starts from it and never reads them
+    allocates no full-layout array.
     """
 
-    grid: WaveGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = self.coefficients
-        n = self.grid.n
+    def __init__(self, grid, coefficients):
+        c = coefficients
+        n = grid.n
         if c.shape != (3, n, n, n):
             raise GridMismatchError(
                 f"coefficients shape {c.shape} does not match grid n={n}"
@@ -383,14 +385,58 @@ class SpectralVelocity:
         if c.dtype != np.complex128:
             raise GridMismatchError(f"coefficients must be complex128, got {c.dtype}")
         c.setflags(write=False)
+        vars(self).update(grid=grid, band=None, _coefficients=c)
+
+    @classmethod
+    def from_band(cls, grid, band):
+        """The field of a dealias band (complex128, shape (3, B, B, kc)).
+
+        The band is taken, not copied (a read-only one is copied), its
+        kz = 0 plane is replaced by :func:`hermitian_plane`, and it is marked
+        read-only: ``to_band(u.coefficients, grid)`` equals it bit for bit,
+        and the coefficients are :func:`from_band` of the band as given.
+        """
+        if band.shape != (3,) + grid.ksq_band.shape:
+            raise GridMismatchError(f"band shape {band.shape} does not match grid n={grid.n}")
+        if band.dtype != np.complex128:
+            raise GridMismatchError(f"band must be complex128, got {band.dtype}")
+        if not band.flags.writeable:
+            band = band.copy()
+        band[..., 0] = hermitian_plane(band)
+        u = object.__new__(cls)
+        vars(u).update(grid=grid, band=_read_only(band))
+        return u
+
+    @property
+    def coefficients(self):
+        c = vars(self).get("_coefficients")
+        if c is None:
+            n = self.grid.n
+            # empty and fill, not zeros: calloc'd pages would be faulted in afresh by later steps
+            out = np.empty((3, n, n, n), dtype=np.complex128)
+            out.fill(0.0)
+            # setdefault is atomic: threads racing to build it all get the first one stored
+            c = vars(self).setdefault("_coefficients",
+                                      _read_only(_scatter_band(self.band, self.grid, out)))
+        return c
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpectralVelocity is immutable: cannot set {name!r}")
 
     def validate(self):
         """Raise ``ValueError`` unless all field invariants hold.
 
         Checks finite coefficients, zero mean, Hermitian symmetry to
         1e-12 max |uhat|, and max_k |k . uhat(k)| <= 1e-12 max |uhat| max_k |k|.
+
+        A field made by :meth:`from_band` is checked on its band.  The
+        verdicts and messages are those of its coefficients: a mode with
+        kz < 0 is the conjugate of one on the band, with the same modulus
+        and the same |k . uhat| bit for bit, the modes off the band are
+        zero, and the Hermitian defect is exactly 0.
         """
-        c = self.coefficients
+        band = self.band
+        c = self.coefficients if band is None else band
         # one component at a time, without a temporary of all three; np.max,
         # unlike the builtin max, keeps a NaN of any component
         peak = float(np.max([np.abs(comp).max() for comp in c]))
@@ -398,13 +444,14 @@ class SpectralVelocity:
             raise ValueError("field has non-finite coefficients")
         if peak == 0.0:
             return self
-        if max(hermitian_defect(comp) for comp in c) > 1e-12 * peak:
+        if band is None and max(hermitian_defect(comp) for comp in c) > 1e-12 * peak:
             raise ValueError("field is not Hermitian-symmetric (complex physical part)")
         if float(np.abs(c[:, 0, 0, 0]).max()) > 1e-13 * peak:
             raise ValueError("field has a nonzero mean mode")
         g = self.grid
-        worst = _worst_divergence(c, g.kx, g.kx)
-        if worst > _divergence_tolerance(g, peak):
+        worst = (_worst_divergence(c, g.kx, g.kx) if band is None
+                 else _worst_divergence(c, g.kx_band, g.kz_band))
+        if not worst <= _divergence_tolerance(g, peak):  # NaN: k . uhat overflowed to inf - inf
             raise ValueError(f"field is not divergence-free: max |k.uhat| = {worst:g}")
         return self
 
@@ -687,13 +734,26 @@ def hermitian_plane(band):
 
     The plane holds both modes of every conjugate pair, k and -k; its
     Hermitian part 0.5 (uhat(k) + conj(uhat(-k))) has the symmetry bit
-    for bit, and equals the plane when the plane already has it.
+    for bit, and equals the plane when the plane already has it, bar
+    the sign of a zero part and parts above half the largest float (their
+    sum overflows).  So :meth:`SpectralVelocity.from_band` applies it once
+    and builds the coefficients without it.
     """
     plane = band[..., :1]
     part = _conj_mirror(plane)
     part += plane
     part *= 0.5
     return part[..., 0]
+
+
+def _scatter_band(band, grid, out):
+    """Write a band into ``out`` (full layout, zero off the band) and its
+    modes with kz < 0 from uhat(-k) = conj(uhat(k)); returns ``out``."""
+    n, kc, index = grid.n, grid.kc, grid.band_index
+    rows = index[:, None]
+    out[..., rows, index, :kc] = band
+    out[..., rows, index, n - kc + 1:] = _conj_mirror(band[..., 1:])[..., ::-1]
+    return out
 
 
 def from_band(band, grid, out=None):
@@ -704,13 +764,10 @@ def from_band(band, grid, out=None):
     replaced by :func:`hermitian_plane`, so the result has the symmetry
     bit for bit.
     """
-    n, kc, index = grid.n, grid.kc, grid.band_index
     if out is None:
-        out = np.zeros(band.shape[:-3] + (n, n, n), dtype=np.complex128)
-    rows = index[:, None]
-    out[..., rows, index, :kc] = band
-    out[..., rows, index, n - kc + 1:] = _conj_mirror(band[..., 1:])[..., ::-1]
-    out[..., rows, index, 0] = hermitian_plane(band)
+        out = np.zeros(band.shape[:-3] + (grid.n, grid.n, grid.n), dtype=np.complex128)
+    _scatter_band(band, grid, out)
+    out[..., grid.band_index[:, None], grid.band_index, 0] = hermitian_plane(band)
     return out
 
 
@@ -721,10 +778,11 @@ def nonlinear_term(u):
     divergence-free in-band w.
     """
     grid = u.grid
-    ghat = flux_contraction(to_band(u.coefficients, grid), grid)
+    band = to_band(u.coefficients, grid) if u.band is None else u.band
+    ghat = flux_contraction(band, grid)
     ghat *= 1j
     _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
-    return SpectralVelocity(grid, from_band(ghat, grid))
+    return SpectralVelocity.from_band(grid, ghat)
 
 
 def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
@@ -737,9 +795,10 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     :class:`ConfigurationError`.
 
     The noise is drawn into the grid's transform workspace and taken to
-    the dealias band by :func:`physical_to_band`; the
-    projection, shaping and norm act on the band only, and the field is
-    written once, by :func:`from_band`.
+    the dealias band by :func:`physical_to_band`; the projection, shaping,
+    norm and check act on the band only, and the field holds its band
+    (:meth:`SpectralVelocity.from_band`): its coefficients are built when
+    first read.
     """
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ConfigurationError(f"amplitude must be finite and >= 0, got {amplitude}")
@@ -774,19 +833,15 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
                                  f"has L2 norm {norm}; change the seed or the slope")
     with np.errstate(over="ignore", invalid="ignore"):
         c *= amplitude / norm
-        # Hermitian with zero mean by construction: of validate()'s checks only
-        # finiteness and the divergence can fail, when c is subnormal or overflows
-        peak = float(np.abs(c).max())
-        if not (np.isfinite(peak)
-                and _worst_divergence(c, grid.kx_band, grid.kz_band)
-                <= _divergence_tolerance(grid, peak)):
+        u = SpectralVelocity.from_band(grid, c)
+        try:
+            # Hermitian with zero mean by construction: of validate()'s checks only
+            # finiteness and the divergence can fail, when c is subnormal or overflows
+            return u.validate()
+        except ValueError as exc:
             raise ConfigurationError(
                 f"amplitude {amplitude:g} is out of range for a random field on this grid: "
-                f"its coefficients would not be finite or divergence-free to rounding")
-    # empty and fill, not zeros: calloc'd pages would be faulted in afresh by later steps
-    out = np.empty((3, n, n, n), dtype=np.complex128)
-    out.fill(0.0)
-    return SpectralVelocity(grid, from_band(c, grid, out=out))
+                f"its coefficients would not be finite or divergence-free to rounding") from exc
 
 
 def shear_field(grid, amplitude=1.0):

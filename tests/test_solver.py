@@ -223,6 +223,46 @@ def test_content_outside_band_is_refused_and_truncation_runs(n, seed, exponent):
     assert np.array_equal(got.final_state.coefficients, want.final_state.coefficients)
 
 
+@pytest.mark.parametrize("kz", [7, -7])
+def test_content_outside_band_in_either_half_is_refused(kz):
+    # N = 16 keeps |kz| <= kc - 1 = 5: kz = -7 is off the band in the half
+    # the band's mirror fills, where validate() cannot see it
+    grid = make_wavegrid(16)
+    u = random_divfree_field(grid, 3, -2.0, 1.0)
+    c = np.array(u.coefficients)
+    c[0, 0, 0, kz % 16] = 1e-14 * np.abs(c).max()  # k = (0, 0, kz): k . c stays 0
+    planted = SpectralVelocity(grid, c)
+    planted.validate()
+    cfg = SolverConfig(nu=0.1, dt=1e-2, t_end=2e-2)
+    for run in (lambda: simulate(planted, ForcingSpec.zero(), cfg),
+                lambda: step(planted, ForcingSpec.zero(), 0.0, cfg.dt, cfg)):
+        with pytest.raises(ConfigurationError, match="outside the dealias band"):
+            run()
+
+
+def test_random_run_at_n64_never_builds_the_full_layout():
+    g = make_wavegrid(64)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=2e-3)
+    simulate(random_divfree_field(g, 1), ForcingSpec.zero(), cfg)  # warm: the workspace
+    full_layout = 3 * g.n**3 * 16
+    tracemalloc.start()
+    try:
+        u = random_divfree_field(g, 2)
+        made = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = simulate(u, ForcingSpec.zero(), cfg)
+        ran = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert res.termination == "completed" and len(res.trace) == 3
+    for field in (u, res.final_state):
+        assert "_coefficients" not in vars(field)
+    # a run's peak is its RK4 step's band arrays: 0.89-0.97 of a full layout
+    # for 8 to 1 slab workers, so one band array more in the step fails this
+    assert made < full_layout and ran < full_layout
+
+
 def test_nonzero_field_with_underflowing_norms_is_refused(grid8):
     cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=3e-3)
     with pytest.raises(ConfigurationError, match="underflowing squared norms: l2_sq="):
@@ -469,19 +509,19 @@ def test_final_state_is_built_when_first_read(grid16, monkeypatch):
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=3e-3)
     simulate(u0, ForcingSpec.zero(), cfg)  # warm: the grid's workspace
     built = []
-    real_from_band = solver.from_band
-    monkeypatch.setattr(solver, "from_band", lambda *a, **k: built.append(1) or real_from_band(*a, **k))
+    real_scatter = spectral._scatter_band
+    monkeypatch.setattr(spectral, "_scatter_band", lambda *a: built.append(1) or real_scatter(*a))
     tracemalloc.start()
     try:
         res = simulate(u0, ForcingSpec.zero(), cfg)
         held = tracemalloc.get_traced_memory()[0]
-        first = res.final_state
+        first = res.final_state.coefficients
         with_state = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    full_layout = u0.coefficients.nbytes
+    full_layout = first.nbytes
     assert held < full_layout <= with_state - held
-    assert res.final_state is first and len(built) == 1
+    assert res.final_state.coefficients is first and len(built) == 1
 
 
 def test_final_state_cached_and_equal_across_runs_on_one_grid():
@@ -516,17 +556,42 @@ def test_final_state_cached_and_equal_across_runs_on_one_grid():
     assert np.array_equal(got[0].coefficients, want)
 
 
-def test_simulation_result_takes_a_field_or_a_band_state(grid8):
-    trace = simulate(zero_field(grid8), ForcingSpec.zero(),
-                     SolverConfig(nu=1.0, dt=1e-2, t_end=2e-2)).trace
+def test_coefficients_read_first_by_many_threads_are_one_array(grid16):
+    u = random_divfree_field(grid16, 5, -2.0, 2.0)
+    got = [None] * 8
+    barrier = threading.Barrier(len(got))
+
+    def read(i):
+        barrier.wait()
+        got[i] = u.coefficients
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(got))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(c is got[0] for c in got) and not got[0].flags.writeable
+    want = spectral.from_band(u.band, grid16)
+    assert got[0].tobytes() == want.tobytes()
+
+
+def test_simulation_result_holds_the_field_it_is_given(grid8):
+    run = simulate(random_divfree_field(grid8, 1), ForcingSpec.zero(),
+                   SolverConfig(nu=1.0, dt=1e-2, t_end=2e-2))
+    assert run.final_state.band is not None  # simulate's: the field of its last band
     u = shear_field(grid8)
-    res = SimulationResult(trace=trace, final_state=u, termination="completed",
+    res = SimulationResult(trace=run.trace, final_state=u, termination="completed",
                            blowup_time=None, blowup_reason=None, wall_time_s=0.0)
     assert res.final_state is u
-    for final_state, band_state in ((None, None), (u, (grid8,))):
-        with pytest.raises(TypeError):
-            SimulationResult(trace, final_state, "completed", None, None, 0.0,
-                             band_state=band_state)
+    with pytest.raises(TypeError):  # one way to give the final state, not two
+        SimulationResult(run.trace, None, "completed", None, None, 0.0,
+                         band_state=(grid8, run.final_state.band))
 
 
 # Final (l2_sq, h1_sq, h2_sq) of two N=16 runs, recorded with the

@@ -34,6 +34,7 @@ from nsreg.spectral import (
     from_band,
     hermitian_adjoint,
     hermitian_defect,
+    hermitian_plane,
     physical_to_band,
     to_band,
 )
@@ -742,6 +743,16 @@ def test_validate_rejects_nonzero_mean(grid8):
         SpectralVelocity(grid8, c).validate()
 
 
+def test_validate_refuses_a_divergence_that_overflows(grid8):
+    # k . uhat = 2 (1.5e308 - 1e308) at k = (2, 2, 1) sums inf and -inf to NaN
+    band = np.zeros((3,) + grid8.ksq_band.shape, dtype=np.complex128)
+    band[:2, 2, 2, 1] = 1.5e308, -1e308
+    u = SpectralVelocity.from_band(grid8, band)
+    for field in (u, SpectralVelocity(grid8, u.coefficients.copy())):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="divergence-free.*nan"):
+            field.validate()
+
+
 def test_divergence_sums_in_the_order_of_its_callers(grid8):
     v = random_divfree_field(grid8, 4, -2.0, 1.0).coefficients + 0.1
     g = grid8.kx
@@ -839,18 +850,89 @@ def test_worst_divergence_equals_the_unblocked_maximum(n):
 def test_validate_peak_is_about_one_component():
     # the divergence check holds a block of x-planes at a time, so the
     # Hermitian check's temporaries, about one component, set the peak
-    # (2.25 components when the divergence was formed over the whole field)
+    # (2.25 components when the divergence was formed over the whole field);
+    # a field that holds its band is checked there, below a tenth of that
     g = make_wavegrid(32)
-    u = random_divfree_field(g, 1)
-    u.validate()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    on_band = random_divfree_field(g, 1)
+    full = SpectralVelocity(g, on_band.coefficients.copy())
+    component = full.coefficients[0].nbytes
+    for u, bound in ((full, 1.25 * component), (on_band, 0.1 * component)):
         u.validate()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * u.coefficients[0].nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u.validate()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+def _verdict(u):
+    try:
+        u.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([8, 16]), seed=st.integers(0, 10_000),
+       log_amplitude=st.floats(-323.0, 2.0),
+       plant=st.sampled_from(["none", "nan", "inf", "mean", "divergence"]),
+       site=st.tuples(st.integers(0, 2), st.integers(0, 10), st.integers(0, 10),
+                      st.integers(0, 5)),
+       factor=st.floats(0.5, 2.0))
+def test_validate_gives_the_same_verdict_on_both_layouts(n, seed, log_amplitude, plant, site,
+                                                         factor):
+    g = make_wavegrid(n)
+    band = random_divfree_field(g, seed).band * 10.0**log_amplitude  # down to subnormal
+    comp, x, y, z = (i % s for i, s in zip(site, (3,) + g.ksq_band.shape))
+    peak = np.abs(band).max()
+    if plant in ("nan", "inf"):
+        band[comp, x, y, z] = getattr(np, plant)
+    elif plant == "mean":  # about the 1e-13 relative bound
+        band[comp, 0, 0, 0] = factor * 1e-13 * peak
+    elif plant == "divergence" and (x, y, z) != (0, 0, 0):  # along k, about the tolerance
+        k = np.array([g.kx_band[x], g.kx_band[y], g.kz_band[z]])
+        band[:, x, y, z] += factor * spectral._divergence_tolerance(g, peak) * k / (k @ k)
+    with np.errstate(all="ignore"):
+        u = SpectralVelocity.from_band(g, band)
+        full = SpectralVelocity(g, u.coefficients.copy())
+        assert full.band is None
+        assert _verdict(u) == _verdict(full)
+
+
+def test_hermitian_plane_leaves_a_hermitian_plane_unchanged():
+    g = make_wavegrid(16)
+    rng = np.random.default_rng(2)
+    b = g.ksq_band.shape[0]
+    neg = -np.arange(b) % b
+    plane = rng.standard_normal((3, b, b)) + 1j * rng.standard_normal((3, b, b))
+    plane[:, 0, 0] = plane[:, 0, 0].real  # its own mirror: real, +0.0 imaginary part
+    upper = (np.arange(b)[:, None] * b + np.arange(b)) > (neg[:, None] * b + neg)
+    plane[:, upper] = np.conj(plane[:, neg][:, :, neg][:, upper])  # mode -k from mode k
+    planes = [plane] + [random_divfree_field(g, s, -2.0, a).band[..., 0]
+                        for s, a in ((1, 1.0), (2, 1e-300), (3, 1e100))]
+    for want in planes:
+        got = hermitian_plane(want[..., None])
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_field_from_band_holds_it_read_only(grid8):
+    u = random_divfree_field(grid8, 4)
+    assert u.band is not None and not u.band.flags.writeable
+    assert "_coefficients" not in vars(u)
+    c = u.coefficients
+    assert not c.flags.writeable and u.coefficients is c and "_coefficients" in vars(u)
+    assert np.array_equal(to_band(c, grid8), u.band)
+    again = SpectralVelocity.from_band(grid8, u.band)  # read-only: taken as a copy
+    assert again.band is not u.band and np.array_equal(again.band, u.band)
+    with pytest.raises(AttributeError, match="immutable"):
+        u.grid = make_wavegrid(16)
+    for bad in (u.band[:2], u.band.astype(np.complex64)):
+        with pytest.raises(GridMismatchError):
+            SpectralVelocity.from_band(grid8, bad)
 
 
 def test_hermitian_adjoint_involution(rand_field):
