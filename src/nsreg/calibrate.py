@@ -43,7 +43,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import ifftn
 
 from . import spectral
 from .bounds import DEFAULT_C_INTERP, DEFAULT_C_SOBOLEV
@@ -84,6 +83,8 @@ def _pad_and_invert(dst, src, axis, factor=None):
     The padding places the wavenumbers 0..n/2-1 at indices 0..n/2-1 and
     -n/2..-1 at m-n/2..m-1, as zero padding in the shifted layout would.
     """
+    from scipy.fft import ifftn  # here, not at import: it would take most of nsreg's cold start
+
     n, m = src.shape[axis], dst.shape[axis]
     h = n // 2  # n is even
     lead = (slice(None),) * axis

@@ -384,8 +384,9 @@ def _sample(grid, band, fband, f_sq=None):
 
 
 def _check_invariants(grid, band, t):
-    """Whether a band state is finite; a finite one must have zero mean and
-    be divergence-free, else :class:`InvariantViolationError` is raised."""
+    """Whether a band state is finite, and so is its divergence k . v; a
+    finite one must have zero mean and be divergence-free, else
+    :class:`InvariantViolationError` is raised."""
     with np.errstate(over="ignore"):  # |c| of finite parts may overflow
         peak = float(np.abs(band).max())
     if not math.isfinite(peak):
@@ -394,9 +395,13 @@ def _check_invariants(grid, band, t):
         return True
     if float(np.abs(band[:, 0, 0, 0]).max()) > 1e-12 * peak:
         raise InvariantViolationError(f"zero-mean invariant violated at t={t:g}")
-    div, _ = _kernels.divergence(band, grid.kx_band, grid.kx_band, grid.kz_band)
+    with np.errstate(over="ignore", invalid="ignore"):  # k . v may overflow, or sum inf - inf
+        div, _ = _kernels.divergence(band, grid.kx_band, grid.kx_band, grid.kz_band)
+        div_max = float(np.abs(div).max())
+    if not math.isfinite(div_max):
+        return False
     kmax = grid.scale * grid.n / 2.0 * np.sqrt(3.0)
-    if float(np.abs(div).max()) > 1e-10 * peak * kmax:
+    if div_max > 1e-10 * peak * kmax:
         raise InvariantViolationError(f"divergence-free invariant violated at t={t:g}")
     return True
 

@@ -23,30 +23,34 @@ fields nsreg makes on the band hold the band and build the full layout
 when it is first read (:meth:`SpectralVelocity.from_band`).
 
 A convection transform keeps only the kz < kc planes, the ones the 2/3
-rule keeps, in a compact spectrum of shape (..., N, N, kc): the band is
+rule keeps, in a compact spectrum of shape (c, N, N, kc): the band is
 scattered into it and one 2-D x-y pass runs over it in place.  Then the
 x-planes are walked in blocks of r planes, r sized to a core's L2
-(:data:`_BLOCK_BYTES`): a block's c2r z pass pads its kc planes with
-zeros to the N/2 + 1 of the half spectrum, and a forward block's r2c
-z pass keeps its kc planes.  Velocity samples and flux so exist one
-block at a time (:func:`flux_contraction`); a field's samples, when a
-caller needs them all, come from :func:`band_to_physical` and go back
-through :func:`physical_to_band`.  The fused 2-D passes run on
-``scipy.fft``.  The z passes run on ``numpy.fft``, whose r2c and c2r
-transforms take ``out=``, so they write into the grid's transform
-workspace (:meth:`WaveGrid.take_workspace`); both libraries run the same
-pocketfft kernels, and the z passes are bit for bit those of
-``scipy.fft``, padded or not.
+(:data:`_BLOCK_BYTES`): a block's c2r z pass reads its kc planes padded
+with zeros to the N/2 + 1 of the half spectrum in the block's z-spectrum
+buffer, and a forward block's r2c z pass keeps its kc planes.  Velocity
+samples and flux so exist one block at a time (:func:`flux_contraction`);
+a field's samples, when a caller needs them all, come from
+:func:`band_to_physical` and go back through :func:`physical_to_band`.
+
+Every transform, these and those of the full layout, is a direct call
+of ``c2c``, ``r2c`` or ``c2r`` of scipy's compiled pocketfft module
+(:func:`_load_pocketfft`), the calls ``scipy.fft`` makes, with ``out=``:
+the results are those of ``scipy.fft`` bit for bit, without its dispatch
+layers or its imports.
 
 From N = 64 (:data:`_SLAB_MIN_N`) a right-hand side runs on every usable
-CPU (:attr:`WaveGrid.workers`): the 2-D passes through ``scipy.fft``'s
-``workers=``, and the block walk, the contraction and the Leray
+CPU (:attr:`WaveGrid.workers`): the 2-D passes through pocketfft's
+``nthreads=``, and the block walk, the contraction and the Leray
 projection on x-slabs (:func:`_on_slabs`), each slab walking its own
 blocks.  Every mode and sample is computed as in one piece, so results
 are bit for bit those of one worker and of any block size.
 """
 
 import contextvars
+import importlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -57,8 +61,6 @@ from datetime import datetime, timezone
 from functools import cached_property
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
-from scipy.fft import fftn, ifftn
 
 from . import _kernels
 from .errors import ConfigurationError, GridMismatchError
@@ -81,6 +83,31 @@ _BLOCK_BYTES = 1 << 20
 
 _slab_pool = None  # ThreadPoolExecutor of the slabs (_pool)
 _slab_pool_lock = threading.Lock()
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, the one ``scipy.fft`` calls.
+
+    It is loaded from its file, so that no scipy package ``__init__`` runs:
+    ``import scipy.fft`` also imports ``scipy.special`` and ``numpy.f2py``,
+    most of a cold start.  Where the file is not found, it is imported.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations or ()) if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
+
+
+#: the pocketfft transforms ``c2c``, ``r2c`` and ``c2r`` of every pass
+_pocketfft = _load_pocketfft()
 
 
 def _usable_cpus():
@@ -204,7 +231,8 @@ class WaveGrid:
         self.length = float(length)
         self.scale = TWO_PI / self.length
 
-        k_int = np.fft.fftfreq(self.n, 1.0 / self.n)  # 0, 1, ..., -N/2, ..., -1
+        k_int = np.arange(self.n, dtype=np.float64)
+        k_int[self.n // 2:] -= self.n  # 0, 1, ..., -N/2, ..., -1
         self.k_int = k_int
         cutoff = self.n / 3.0
         keep = np.abs(k_int) < cutoff
@@ -511,17 +539,32 @@ def hermitian_defect(arr):
     return float(np.max(block_maxima))
 
 
+def _real_inverse(spec, grid, out=None):
+    """Real part of the inverse 3-D transform of full-layout ``spec``
+    (shape (3, N, N, N)) times N^3, rounded as ``ifftn(spec) * N**3``: a
+    view on ``out``, or on ``spec``, overwritten, when ``out`` is None."""
+    out = spec if out is None else out
+    _pocketfft.c2c(spec, axes=(1, 2, 3), forward=False, inorm=2, out=out,
+                   nthreads=grid.workers)
+    out *= grid.n_modes
+    return out.real
+
+
 def to_physical(u):
     """Collocation samples, a (3, N, N, N) float64 array (imaginary part discarded)."""
-    samples = np.real(ifftn(u.coefficients, axes=(-3, -2, -1)) * u.grid.n_modes)
-    return np.ascontiguousarray(samples)
+    c = u.coefficients
+    return np.ascontiguousarray(_real_inverse(c, u.grid, np.empty_like(c)))
 
 
 def from_physical(grid, samples):
     """Raw (unprojected) spectral coefficients of real collocation samples."""
     if samples.shape != (3, grid.n, grid.n, grid.n):
         raise GridMismatchError("sample array does not match the grid")
-    return np.ascontiguousarray(fftn(samples, axes=(-3, -2, -1)) / grid.n_modes)
+    samples = np.asarray(samples, dtype=np.float64)
+    out = np.empty(samples.shape, dtype=np.complex128)
+    _pocketfft.c2c(samples, axes=(1, 2, 3), out=out, nthreads=grid.workers)
+    out /= grid.n_modes
+    return out
 
 
 def leray_project(u):
@@ -558,7 +601,6 @@ def _masked(coefficients, grid):
 
 def _gradient_physical(coefficients, grid):
     """d v_j / d x_i on the collocation grid, shape (3, 3, N, N, N)."""
-    n3 = grid.n_modes
     out = np.empty((3, 3, grid.n, grid.n, grid.n))
     axes_k = (
         grid.kx[:, None, None],
@@ -566,8 +608,7 @@ def _gradient_physical(coefficients, grid):
         grid.kx[None, None, :],
     )
     for i in range(3):
-        d_hat = 1j * axes_k[i] * coefficients
-        out[i] = np.real(ifftn(d_hat, axes=(-3, -2, -1)) * n3)
+        out[i] = _real_inverse(1j * axes_k[i] * coefficients, grid)
     return out
 
 
@@ -581,9 +622,8 @@ def trilinear_b(u, v, w):
     if not (u.grid == v.grid == w.grid):
         raise GridMismatchError("trilinear form requires fields on one grid")
     grid = u.grid
-    n3 = grid.n_modes
-    u_phys = np.real(ifftn(_masked(u.coefficients, grid), axes=(-3, -2, -1)) * n3)
-    w_phys = np.real(ifftn(_masked(w.coefficients, grid), axes=(-3, -2, -1)) * n3)
+    u_phys = _real_inverse(_masked(u.coefficients, grid), grid)
+    w_phys = _real_inverse(_masked(w.coefficients, grid), grid)
     grad_v = _gradient_physical(_masked(v.coefficients, grid), grid)
     conv = np.einsum("iabc,ijabc->jabc", u_phys, grad_v)
     return float((conv * w_phys).sum() * grid.cell_volume)
@@ -591,7 +631,7 @@ def trilinear_b(u, v, w):
 
 def _xy_inverse(band, grid, low):
     """Write a band into ``low``, its compact spectrum (complex, shape
-    (..., N, N, kc)), zero elsewhere, and run the 2-D inverse pass over x,
+    (c, N, N, kc)), zero elsewhere, and run the 2-D inverse pass over x,
     then y, in place; returns ``low``."""
     runs, gap = grid.band_runs, slice(grid.kc, grid.n - grid.kc + 1)
     low[..., gap, :, :] = 0.0
@@ -599,40 +639,55 @@ def _xy_inverse(band, grid, low):
         low[..., sx, gap, :] = 0.0
         for by, sy in runs:
             low[..., sx, sy, :] = band[..., bx, by, :]
-    done = ifftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
-    if done.ctypes.data != low.ctypes.data:  # not in place: numpy would copy even onto itself
-        low[...] = done
+    _pocketfft.c2c(low, axes=(1, 2), forward=False, out=low, nthreads=grid.workers)
     return low
 
 
 def _xy_forward(low, grid, out):
     """The 2-D forward pass over x, then y, of a compact spectrum ``low``
-    (overwritten), gathered into ``out`` (complex, shape (..., B, B, kc)),
+    (overwritten), gathered into ``out`` (complex, shape (c, B, B, kc)),
     which is returned."""
-    spec = fftn(low, axes=(-3, -2), norm="forward", overwrite_x=True, workers=grid.workers)
+    _pocketfft.c2c(low, axes=(1, 2), inorm=2, out=low, nthreads=grid.workers)
     for bx, sx in grid.band_runs:
         for by, sy in grid.band_runs:
-            out[..., bx, by, :] = spec[..., sx, sy, :]
+            out[..., bx, by, :] = low[..., sx, sy, :]
     return out
 
 
-def band_to_physical(band, grid, low, out):
+def _c2r(low, grid, half, out):
+    """The c2r pass along z of compact spectra ``low`` (complex, shape
+    (c, r, N, kc)) into ``out`` (float, shape (c, r, N, N)), through
+    ``half`` (complex, shape (c, r, N, N/2 + 1)), which gets the kc
+    planes of ``low`` and zeros: pocketfft's c2r reads N/2 + 1 planes."""
+    kc = grid.kc
+    half[..., :kc] = low
+    half[..., kc:] = 0.0
+    _pocketfft.c2r(half, axes=(3,), lastsize=grid.n, forward=False, out=out)
+
+
+def _r2c(samples, spec):
+    """The r2c pass along z of real ``samples`` (shape (c, r, N, N)) into
+    ``spec`` (complex, shape (c, r, N, N/2 + 1)), scaled by 1/N."""
+    _pocketfft.r2c(samples, axes=(3,), inorm=2, out=spec)
+
+
+def band_to_physical(band, grid, low, out, blocks):
     """Collocation samples of a field given by its dealias band.
 
     Equal to ``irfftn`` of the zero-padded half spectrum, with the same
-    axis order (x, then y, then the c2r pass along z), in 2 calls: the
-    band is written into ``low``, the compact spectrum of the kz < kc
-    planes (complex, shape (..., N, N, kc), overwritten), one 2-D pass
-    runs over its N * kc x lines and N * kc y lines, and the c2r pass over
-    the N * N z lines pads each with zeros to the N/2 + 1 of the half
-    spectrum.  ``out`` (float, shape (..., N, N, N)) holds the samples and
-    is returned.  The passes run on ``grid.workers`` threads, the c2r pass
-    on x-slabs.
+    axis order (x, then y, then the c2r pass along z): the band is written
+    into ``low``, the compact spectrum of the kz < kc planes (complex,
+    shape (c, N, N, kc), overwritten), one 2-D pass runs over its N * kc
+    x lines and N * kc y lines, and the c2r pass runs over the N * N z
+    lines by blocks of x-planes (:func:`_on_blocks`, with the block
+    buffers ``blocks``), each padded with zeros to the N/2 + 1 of the half
+    spectrum (:func:`_c2r`).  ``band`` has shape (c, B, B, kc) with
+    c <= 5; ``out`` (float, shape (c, N, N, N)) holds the samples and is
+    returned.  The passes run on ``grid.workers`` threads.
     """
-    n = grid.n
     _xy_inverse(band, grid, low)
-    _on_slabs(grid, n, lambda x: irfftn(low[..., x, :, :], s=(n,), axes=(-1,), norm="forward",
-                                        out=out[..., x, :, :]))
+    _on_blocks(grid, blocks, lambda x, block: _c2r(low[:, x], grid, block[2][: len(low)],
+                                                     out[:, x]))
     return out
 
 
@@ -654,7 +709,7 @@ def physical_to_band(samples, grid, low, out, blocks):
 
     def leg(x, block):
         spec = block[2][: len(samples)]
-        rfftn(samples[:, x], axes=(-1,), norm="forward", out=spec)
+        _r2c(samples[:, x], spec)
         low[:, x] = spec[..., :kc]
 
     _on_blocks(grid, blocks, leg)
@@ -681,7 +736,7 @@ def flux_contraction(band, grid, speed=False):
     With ``speed``, returns ``(out, max |u|)``: the largest velocity
     component on the collocation grid.
     """
-    n, kc = grid.n, grid.kc
+    kc = grid.kc
     low, spec, f, _, blocks = work = grid.take_workspace()
     tops = []  # the blocks' max u and -min u
     try:
@@ -689,11 +744,11 @@ def flux_contraction(band, grid, speed=False):
 
         def leg(x, block):
             u, flux, zspec = block
-            irfftn(low[:, x], s=(n,), axes=(-1,), norm="forward", out=u)
+            _c2r(low[:, x], grid, zspec[:3], u)
             if speed:
                 tops.extend((u.max(), -u.min()))
             _kernels.convective_product(u, out=flux)
-            rfftn(flux, axes=(-1,), norm="forward", out=zspec)
+            _r2c(flux, zspec)
             spec[:, x] = zspec[..., :kc]
 
         _on_blocks(grid, blocks, leg)
@@ -901,7 +956,8 @@ def save_field(u, path, seed=None, provenance=None):
     """
     grid = u.grid
     header = _SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, grid.n, grid.length, 3)
-    ordered = np.fft.fftshift(u.coefficients, axes=(-3, -2, -1)).astype("<c16")
+    shift = grid.n // 2  # to lexicographic order, as fftshift
+    ordered = np.roll(u.coefficients, (shift,) * 3, axis=(-3, -2, -1)).astype("<c16")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(ordered.tobytes())
@@ -938,7 +994,7 @@ def load_field(path):
             f"{path}: payload has {len(payload)} bytes, expected {expected}"
         )
     ordered = np.frombuffer(payload, dtype="<c16").reshape(3, n, n, n)
-    coeffs = np.fft.ifftshift(ordered.astype(np.complex128), axes=(-3, -2, -1))
+    coeffs = np.roll(ordered.astype(np.complex128), (-(n // 2),) * 3, axis=(-3, -2, -1))
     grid = WaveGrid(int(n), float(length))
     return SpectralVelocity(grid, np.ascontiguousarray(coeffs))
 

@@ -1,5 +1,6 @@
 """Tests for the constant ledger, bounds, horizons, criteria, and ODE oracle."""
 
+import ast
 import math
 import os
 import subprocess
@@ -438,27 +439,50 @@ def test_oracle_arctan_variant_closed_form():
     assert oracle.blowup_time == pytest.approx(0.34657359027997264, rel=1e-6)
 
 
-def test_import_loads_scipy_integrate_only_in_the_oracle():
-    # a cold nsreg process (library or CLI) must not pay for scipy.integrate;
-    # only the test-side oracle loads it, and keeps its results there
+def _cold_start(prefixes, setup, expr):
+    """In a fresh interpreter, ``import nsreg, nsreg.cli``, then run
+    ``setup`` (which may import from conftest) and evaluate ``expr``.
+    Returns the loaded modules that start with one of ``prefixes`` before
+    ``setup``, ``repr`` of the value, and those modules after."""
     src = os.path.dirname(os.path.dirname(nsreg.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.path.dirname(__file__)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     script = (
         "import sys, nsreg, nsreg.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
-        "from conftest import ode_comparison_oracle\n"
-        "oracle = ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant='arctan_form')\n"
-        "print(repr(oracle.blowup_time))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        f"loaded = lambda: sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))\n"
+        "print(loaded())\n"
+        f"{setup}\n"
+        f"print(repr({expr}))\n"
+        "print(loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, blowup_time, loaded_after = proc.stdout.splitlines()
-    assert loaded == "[]"
+    before, value, after = proc.stdout.splitlines()
+    return ast.literal_eval(before), value, ast.literal_eval(after)
+
+
+def test_import_loads_scipy_integrate_only_in_the_oracle():
+    # a cold nsreg process (library or CLI) must not pay for scipy.integrate;
+    # only the test-side oracle loads it, and keeps its results there
+    before, blowup_time, after = _cold_start(
+        ["scipy.integrate"], "from conftest import ode_comparison_oracle",
+        "ode_comparison_oracle(0.0, 1.0, 1.0, 10.0, variant='arctan_form').blowup_time")
+    assert before == []
     assert float(blowup_time) == pytest.approx(0.5 * math.log(2.0), rel=1e-6)
-    assert loaded_after == "True"
+    assert "scipy.integrate" in after
+
+
+def test_import_loads_no_scipy_fft():
+    # the transforms call scipy's pocketfft module, loaded from its file, so
+    # a cold nsreg process pays for none of scipy.fft's imports; calibrate's
+    # quadrature imports scipy.fft when it runs, and gives the same ratios
+    before, ratios, _ = _cold_start(
+        ["scipy.fft", "scipy.special", "numpy.f2py"],
+        "from nsreg import embedding_ratios, make_wavegrid, shear_field",
+        "embedding_ratios(shear_field(make_wavegrid(8), 1.3))")
+    assert before == []
+    assert ratios == repr(nsreg.embedding_ratios(nsreg.shear_field(nsreg.make_wavegrid(8), 1.3)))
 
 
 def test_oracle_trajectory_respects_window():

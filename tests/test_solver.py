@@ -636,6 +636,24 @@ def test_check_invariants_is_false_for_non_finite_states(grid8):
             assert _check_invariants(grid8, planted, 0.0) is False
 
 
+def test_a_divergence_that_overflows_is_a_blowup(monkeypatch, grid8):
+    # a finite state whose k . v sums inf and -inf to NaN at k = (2, 2, 1):
+    # not finite, so a run ends in a blowup and step() raises, as validate() refuses it
+    band = np.zeros((3,) + grid8.ksq_band.shape, dtype=np.complex128)
+    band[:2, 2, 2, 1] = 1.5e308, -1e308
+    monkeypatch.setattr(_Stepper, "step", lambda self, c, t, dt: (band.copy(), dt))
+    cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _check_invariants(grid8, band, 0.0) is False
+        res = simulate(shear_field(grid8), ForcingSpec.zero(), cfg)
+        assert (res.termination, res.blowup_reason) == ("blowup", "non-finite coefficients")
+        assert res.blowup_time == 0.0 and len(res.trace) == 1
+        with pytest.raises(NumericalBlowupError, match="non-finite coefficients") as info:
+            step(shear_field(grid8), ForcingSpec.zero(), 0.5, 1e-2, cfg)
+    assert info.value.last_valid_time == 0.5
+
+
 def test_simulate_reports_non_finite_coefficients_as_blowup(grid8):
     cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
     res = simulate(shear_field(grid8), nan_after_start(grid8), cfg)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ TWO_PI = 2.0 * math.pi
 def test_wavegrid_small_lattice():
     g = make_wavegrid(4)
     assert sorted(g.k_int.tolist()) == [-2, -1, 0, 1]
+
+
+@pytest.mark.parametrize("n", [4, 16, 98, 196])
+def test_wavenumbers_are_integers(n):
+    # at N = 98 and 196, n * (1 / n) is not 1, and fftfreq(n, 1 / n) scales its integers by it
+    k = make_wavegrid(n).k_int
+    assert k.tolist() == list(range(n // 2)) + list(range(-(n // 2), 0))
 
 
 def test_wavegrid_mode_count():
@@ -112,10 +120,11 @@ def _half_with_energy_everywhere(g, seed):
 
 def _to_physical(band, g):
     """band_to_physical into NaN-filled buffers, so every value it returns
-    was written by the call, as in a reused workspace."""
+    was written by the call, as in a reused workspace, with block buffers
+    of its own."""
     lead, n = band.shape[:-3], g.n
     low = np.full(lead + (n, n, g.kc), np.nan, dtype=np.complex128)
-    return band_to_physical(band, g, low, np.full(lead + (n, n, n), np.nan))
+    return band_to_physical(band, g, low, np.full(lead + (n, n, n), np.nan), [])
 
 
 def _to_band(samples, g):
@@ -161,25 +170,28 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     assert np.array_equal(_to_band(samples, g), to_band(full, g))
     for _ in range(2):  # in the grid's workspace, as the random field uses it, stale on reuse
         low, _, _, noise, blocks = work = g.take_workspace()
-        assert np.array_equal(band_to_physical(band, g, low, noise), samples)
+        assert np.array_equal(band_to_physical(band, g, low, noise, blocks), samples)
         got = physical_to_band(noise, g, low, np.empty_like(band), blocks)
         assert np.array_equal(got, to_band(full, g))
         g.give_back_workspace(work)
 
 
 def test_compact_c2r_equals_padded_c2r():
-    # band_to_physical and flux_contraction hand numpy's c2r pass only the
-    # kz < kc planes and s=(N,): numpy pads them with zeros to N/2 + 1, and
-    # the samples must be those of the padded half spectrum bit for bit
+    # pocketfft's c2r reads N/2 + 1 planes: band_to_physical and
+    # flux_contraction copy the kz < kc planes into a block buffer and pad
+    # them with zeros there, and the samples must be those of the padded
+    # half spectrum bit for bit, also in a block's strided views
     rng = np.random.default_rng(3)
     for n in (8, 12, 16, 64):
-        kc = make_wavegrid(n).kc
+        g = make_wavegrid(n)
+        kc = g.kc
         low = rng.standard_normal((3, 5, n, kc)) + 1j * rng.standard_normal((3, 5, n, kc))
         padded = np.zeros((3, 5, n, n // 2 + 1), dtype=np.complex128)
         padded[..., :kc] = low
         want = np.fft.irfftn(padded, axes=(-1,), norm="forward")
-        out = np.full((3, 7, n, n), np.nan)[:, :5]  # a block's strided view, as the walk passes
-        assert np.fft.irfftn(low, s=(n,), axes=(-1,), norm="forward", out=out) is out
+        half = np.full((5, 7, n, n // 2 + 1), np.nan, dtype=np.complex128)[:3, :5]
+        out = np.full((3, 7, n, n), np.nan)[:, :5]
+        spectral._c2r(low, g, half, out)
         assert np.array_equal(out, want)
 
 
@@ -268,70 +280,77 @@ def test_a_run_builds_no_full_grid_table():
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
-def test_numpy_z_passes_equal_scipy_bitwise(n):
-    # the z passes run on numpy.fft for its out=; the results stay those of
-    # scipy.fft only while both libraries give the same bits
-    import scipy.fft
-
-    x = np.random.default_rng(n).standard_normal((5, n, n, n))
-    spec = np.empty((5, n, n, n // 2 + 1), dtype=np.complex128)
-    assert np.fft.rfftn(x, axes=(-1,), norm="forward", out=spec) is spec
-    assert np.array_equal(spec, scipy.fft.rfftn(x, axes=(-1,), norm="forward"))
-    back = np.empty_like(x)
-    assert np.fft.irfftn(spec, axes=(-1,), norm="forward", out=back) is back
-    assert np.array_equal(back, scipy.fft.irfftn(spec, axes=(-1,), norm="forward"))
-
-
-class _NumpyFFTBackend:
-    """scipy.fft backend that delegates to numpy.fft and returns new arrays."""
-
-    __ua_domain__ = "numpy.scipy.fft"
-
-    @staticmethod
-    def __ua_function__(method, args, kwargs):
-        for key in ("overwrite_x", "workers", "plan"):
-            kwargs.pop(key, None)
-        return getattr(np.fft, method.__name__)(*args, **kwargs)
-
-
-@pytest.mark.parametrize("n", [8, 12, 16])
-def test_band_transforms_use_returned_arrays(n):
-    # overwrite_x only allows scipy.fft to destroy its input; a backend that
-    # leaves it untouched must give the same band transforms
+def test_numpy_z_passes_equal_scipy_bitwise(monkeypatch, n):
+    # every pass calls scipy's pocketfft module directly, with out=; the
+    # results must be those of the public scipy.fft and numpy.fft bit for bit
     import scipy.fft
 
     g = make_wavegrid(n)
-    band = to_band(_half_with_energy_everywhere(g, n + 2), g)
-    samples = _to_physical(band, g)
-    products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
-    want_band = _to_band(products, g)
-    with scipy.fft.set_backend(_NumpyFFTBackend, only=True):
-        got_samples = _to_physical(band, g)
-        got_band = _to_band(products, g)
-    for got, want in ((got_samples, samples), (got_band, want_band)):
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    kc, index = g.kc, g.band_index
+    rng = np.random.default_rng(n)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = rng.standard_normal((5, n, n, n))
+    spec = np.full((5, n, n, n // 2 + 1), np.nan, dtype=np.complex128)
+    spectral._r2c(x, spec)
+    for lib in (scipy.fft, np.fft):
+        assert np.array_equal(spec, lib.rfftn(x, axes=(-1,), norm="forward"))
+    low, out = spec[:3, ..., :kc].copy(), np.full((3, n, n, n), np.nan)
+    spectral._c2r(low, g, np.full_like(spec[:3], np.nan), out)
+    assert np.array_equal(out, np.fft.irfftn(low, s=(n,), axes=(-1,), norm="forward"))
+    padded = np.zeros_like(spec[:3])
+    padded[..., :kc] = low
+    assert np.array_equal(out, scipy.fft.irfftn(padded, axes=(-1,), norm="forward"))
+
+    band, compact = noise((3, 2 * kc - 1, 2 * kc - 1, kc)), noise((5, n, n, kc))
+    scattered = np.zeros((3, n, n, kc), dtype=np.complex128)
+    scattered[:, index[:, None], index] = band
+    want_inverse = scipy.fft.ifftn(scattered, axes=(-3, -2), norm="forward")
+    want_forward = scipy.fft.fftn(compact, axes=(-3, -2), norm="forward")[:, index[:, None], index]
+    for workers in (1, 2):
+        monkeypatch.setattr(g, "workers", workers)
+        got = spectral._xy_inverse(band, g, np.full((3, n, n, kc), np.nan, dtype=np.complex128))
+        assert np.array_equal(got, want_inverse)
+        out = np.full((5, 2 * kc - 1, 2 * kc - 1, kc), np.nan, dtype=np.complex128)
+        assert np.array_equal(spectral._xy_forward(compact.copy(), g, out), want_forward)
+
+        u = SpectralVelocity(g, noise((3, n, n, n)))
+        assert np.array_equal(to_physical(u), np.real(scipy.fft.ifftn(u.coefficients,
+                                                                       axes=(-3, -2, -1)) * n**3))
+        assert np.array_equal(spectral.from_physical(g, x[:3]),
+                              scipy.fft.fftn(x[:3], axes=(-3, -2, -1)) / n**3)
+
+
+def test_pocketfft_is_imported_where_its_file_is_not_found(monkeypatch):
+    import importlib.util
+
+    import scipy.fft._pocketfft.pypocketfft as public
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert spectral._load_pocketfft() is public
 
 
 def test_stepper_rhs_makes_four_fft_calls(monkeypatch, grid16):
-    # one 2-D pass and one z pass each way, whatever the field: the x-y
-    # passes on scipy.fft, the z passes on numpy.fft, which writes into the
-    # grid's workspace (scipy.fft has no out= for r2c and c2r)
-    import scipy.fft
-
-    import nsreg.spectral
-
-    assert (nsreg.spectral.fftn, nsreg.spectral.ifftn) == (scipy.fft.fftn, scipy.fft.ifftn)
-    assert (nsreg.spectral.rfftn, nsreg.spectral.irfftn) == (np.fft.rfftn, np.fft.irfftn)
+    # one 2-D pass and one z pass each way, whatever the field, each a
+    # direct call of pocketfft that writes into the grid's workspace
     band = to_band(random_divfree_field(grid16, 4).coefficients, grid16)
     stepper = _Stepper(grid16, ForcingSpec.zero(), SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3))
     calls = []
-    for name in ("fftn", "ifftn", "irfftn", "rfftn"):
-        def counted(*args, _fn=getattr(nsreg.spectral, name), _name=name, **kwargs):
-            calls.append((_name, "out" in kwargs))
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(nsreg.spectral, name, counted)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, kwargs.get("out") is not None))
+            return fn(*args, **kwargs)
+        return call
+
+    names = ("c2c", "r2c", "c2r")
+    monkeypatch.setattr(spectral, "_pocketfft", types.SimpleNamespace(
+        **{name: counted(name, getattr(spectral._pocketfft, name)) for name in names}))
     stepper.rhs(band, 0.0)
-    assert sorted(calls) == [("fftn", False), ("ifftn", False), ("irfftn", True), ("rfftn", True)]
+    assert sorted(calls) == [("c2c", True), ("c2c", True), ("c2r", True), ("r2c", True)]
+    assert not {"fftn", "ifftn", "rfftn", "irfftn"} & set(vars(spectral))
 
 
 # ---------------------------------------------------------- leray projection
