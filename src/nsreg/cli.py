@@ -288,6 +288,8 @@ def _parse(argv):
 
 
 def _initial_field(args, grid):
+    if not args.amplitude >= 0:  # an L2 norm, for every init as random_divfree_field has it
+        raise ConfigurationError(f"amplitude must be finite and >= 0, got {args.amplitude}")
     if args.init == "shear":
         target = args.amplitude / sobolev_norm(shear_field(grid, 1.0), 0)
         return shear_field(grid, target)
@@ -399,10 +401,15 @@ def cmd_compare(args):
                 report = arctan_bound_free(
                     CriterionInput(l2=row.l2, h1_sq=row.h1_sq), ledger
                 )
-            # a run that blows up on its first step leaves a one-sample
-            # trace, which the monitor cannot difference
-            passed = (run_monitor(result.trace, ledger, report=report).passed
-                      if len(result.trace) >= 2 else None)
+            # no verdict on the one-sample trace of a run that blows up on
+            # its first step, which cannot be differenced, or a too coarse one
+            passed = None
+            if len(result.trace) >= 2:
+                mon = run_monitor(result.trace, ledger, report=report)
+                if mon.trace_too_coarse:
+                    entry["detail"] = _coarse_detail(result.trace, mon)
+                else:
+                    passed = mon.passed
             entry.update(
                 status=result.termination,
                 monitor_passed=passed,
@@ -433,6 +440,16 @@ def cmd_calibrate(args):
     return EXIT_OK, {"report.json": _json_text(result.to_json_dict())}
 
 
+def _coarse_detail(trace, mon):
+    """Why the failed solver diagnostic of a too coarse trace says nothing."""
+    why = ("does not model the one-sided difference of a two-sample trace; rerun with more steps"
+           if len(trace) == 2 else
+           f"the trace's step and stiffness push past its cap {SOLVER_REL_TOL_CAP:g}; "
+           "rerun with a smaller dt")
+    residual = mon.checks[0].max_violation
+    return f"solver energy residual {residual:.3g} exceeds the tolerance, which {why}"
+
+
 def cmd_monitor(args):
     if not args.trace:
         raise UsageError("monitor requires --trace")
@@ -452,10 +469,7 @@ def cmd_monitor(args):
         report = CriterionReport.from_json_dict(_load_json(args.report))
     mon = run_monitor(trace, ledger, report=report, solver_rel_tol=args.solver_rel_tol)
     if mon.trace_too_coarse:
-        raise CoarseTraceError(
-            f"solver energy residual {mon.checks[0].max_violation:.3g} exceeds the "
-            f"tolerance, which the trace's step and stiffness push past its cap "
-            f"{SOLVER_REL_TOL_CAP:g}; rerun with a smaller dt")
+        raise CoarseTraceError(_coarse_detail(trace, mon))
     code = (EXIT_SOLVER_DIAGNOSTIC if mon.solver_diagnostic_failed
             else EXIT_OK if mon.passed else EXIT_VIOLATION)
     return code, {"report.json": _json_text(mon.to_json_dict())}

@@ -17,9 +17,10 @@ inequality's scale with the measured stiffness of the trace
 (lam_eff = max h2_sq / h1_sq) and the sampling step, so refining dt
 provably shrinks them; only the solver diagnostic's can be overridden per
 call, and its default is capped at :data:`SOLVER_REL_TOL_CAP`.  A trace
-whose modelled tolerance exceeds the cap is too coarse to tell a wrong
-integrator from differencing error, and a failed diagnostic on it is
-reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
+whose modelled tolerance exceeds the cap, or one of two samples, whose
+one-sided difference the model does not cover, is too coarse to tell a
+wrong integrator from differencing error, and a failed diagnostic on it
+is reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
 fails closed: a NaN or infinite residual, or a NaN tolerance, is a
 violation, and a trace with a subnormal squared norm is refused.
 """
@@ -61,9 +62,10 @@ class MonitorReport:
 
     Only the checks are stored: ``passed`` and ``solver_diagnostic_failed``
     are read off them.  ``trace_too_coarse`` marks a failed solver
-    diagnostic whose modelled default tolerance exceeds
-    :data:`SOLVER_REL_TOL_CAP`: the failure may be differencing error, so
-    it does not indict the integrator.
+    diagnostic at the default tolerance on a trace of two samples, or
+    whose modelled tolerance exceeds :data:`SOLVER_REL_TOL_CAP`: the
+    failure may be differencing error, so it does not indict the
+    integrator.
     """
 
     checks: tuple
@@ -227,6 +229,8 @@ def run_monitor(trace, ledger, report=None, solver_rel_tol=None):
         checks.append(check_bound_dominance(trace, report))
     return MonitorReport(
         checks=tuple(checks),
+        # two samples: a first-order one-sided difference, which the model does not cover
         trace_too_coarse=(not diag.passed and solver_rel_tol is None
-                          and _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP),
+                          and (len(trace) == 2
+                               or _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP)),
     )

@@ -7,12 +7,13 @@ The state advances according to
 with the viscous part integrated exactly through the factor
 exp(-nu |k|^2 dt) and the convection/forcing part treated by an explicit
 Runge-Kutta scheme (classical RK4 by default, Heun's RK2 as the low-order
-option).  A run takes the dealias band (see :mod:`nsreg.spectral`) of
-its initial field at entry, the field's own when it holds one, and
+option).  A run takes the dealias band of its initial field at entry,
+the field's own when it holds one (:func:`spectral.band_of`), and
 gives back a field that holds the last band
 (:meth:`SpectralVelocity.from_band`); in between, stages, samples,
 invariant checks and the CFL speed all work on the band.  A field with
-content outside the band is refused.  After each step of a run the
+content outside the band is refused.  The band layout and its
+projections are :mod:`nsreg.spectral`'s.  After each step of a run the
 state's kz = 0 plane is replaced by its Hermitian part, as
 :meth:`SpectralVelocity.from_band` does for :func:`step`, so the plane
 is Hermitian by construction and a run is a loop of :func:`step` bit
@@ -40,9 +41,10 @@ from .errors import (
 )
 from .spectral import (
     SpectralVelocity,
-    _on_slabs,
-    flux_contraction,
+    band_of,
+    convection_band,
     hermitian_plane,
+    project_band,
     shear_field,
     to_band,
 )
@@ -217,9 +219,8 @@ class SimulationResult:
 class _Stepper:
     """Integrating-factor Runge-Kutta stepper bound to one grid and config.
 
-    States, stages, :meth:`rhs`, :meth:`force_band` and the projection all
-    work on the dealias band, shape (3, B, B, kc) (see
-    :func:`spectral.to_band`).
+    States, stages, :meth:`rhs` and :meth:`force_band` work on the
+    dealias band, shape (3, B, B, kc) (see :func:`spectral.to_band`).
     """
 
     def __init__(self, grid, forcing, config):
@@ -241,14 +242,9 @@ class _Stepper:
             self._last_factors = (dt, factors)
         return factors
 
-    def _project(self, band):
-        """Leray-project a band in place, on x-slabs (:func:`spectral._on_slabs`)."""
-        g = self.grid
-        _on_slabs(g, len(g.kx_band), lambda x: _kernels.leray_project_modes(
-            band[:, x], g.kx_band[x], g.kx_band, g.kz_band, g.ksq_band[x]))
-
     def force_band(self, t):
-        """Band of the force at time t (projected if time-dependent), or None."""
+        """Band of the force at time t (projected if time-dependent), or None;
+        the band a force holds is read as it is, without its full layout."""
         if self._steady is not None:
             return self._steady
         f = self.forcing.at(t)
@@ -256,9 +252,9 @@ class _Stepper:
             return None
         if f.grid != self.grid:
             raise GridMismatchError("forcing grid does not match the state grid")
-        band = to_band(f.coefficients, self.grid)
-        if self.forcing.kind == "time_dependent":
-            self._project(band)
+        band = to_band(f.coefficients, self.grid) if f.band is None else f.band
+        if self.forcing.kind == "time_dependent":  # projected in place: a held band is read-only
+            band = project_band(band if band.flags.writeable else band.copy(), self.grid)
         return band
 
     def rhs(self, band, t, speed=False):
@@ -269,13 +265,11 @@ class _Stepper:
         convection needs anyway.
         """
         if speed:
-            out, top = flux_contraction(band, self.grid, speed=True)
+            out, top = convection_band(band, self.grid, speed=True)
         else:
-            out = flux_contraction(band, self.grid)
+            out = convection_band(band, self.grid)
         # -P[i k_i F_ij] = -i P[k_i F_ij]: P and -i act componentwise with
-        # real k, so the factor goes on once, after the projection, which
-        # also removes the flux's gradient part
-        self._project(out)
+        # real k, so the factor goes on once, after the projection
         out *= -1j
         fband = self.force_band(t)
         if fband is not None:
@@ -329,23 +323,6 @@ class _Stepper:
         return new, dt
 
 
-def _band(u):
-    """Dealias band of a field (read-only for a field that holds its band),
-    or :class:`ConfigurationError` if the field has content outside the band."""
-    if u.band is not None:
-        return u.band
-    grid, c = u.grid, u.coefficients
-    band = to_band(c, grid)
-    # the band's mirror at kz < 0, as views: a nonzero on neither lies off the band
-    mirror = (c[..., sx, sy, grid.n - grid.kc + 1:] for _, sx in grid.band_runs
-              for _, sy in grid.band_runs)
-    if np.count_nonzero(c) != np.count_nonzero(band) + sum(map(np.count_nonzero, mirror)):
-        raise ConfigurationError(
-            "field has content outside the dealias band; truncate it with "
-            "u.copy_with(u.coefficients * grid.dealias_mask)")
-    return band
-
-
 def step(u, forcing, t, dt, config):
     """Advance one step of length dt from time t; returns the new state.
 
@@ -359,7 +336,7 @@ def step(u, forcing, t, dt, config):
         raise ConfigurationError(f"step size must be positive, got {dt}")
     grid = u.grid
     stepper = _Stepper(grid, forcing, replace(config, cfl=None))
-    new, _ = stepper.step(_band(u), t, dt)
+    new, _ = stepper.step(band_of(u), t, dt)
     if not _check_invariants(grid, new, t + dt):
         raise NumericalBlowupError(
             f"non-finite coefficients after step from t={t:g}", last_valid_time=t
@@ -418,7 +395,7 @@ def simulate(u0, forcing, config):
     start = _time.perf_counter()
     grid = u0.grid
     stepper = _Stepper(grid, forcing, config)
-    c = _band(u0)
+    c = band_of(u0)
 
     def sample(c, t, f_sq=None):
         return (t,) + _sample(grid, c, stepper.force_band(t), f_sq)

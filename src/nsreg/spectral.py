@@ -18,9 +18,11 @@ There are two layouts.  Public fields show the full layout above.  The
 time stepper holds its state on the dealias band, shape (3, B, B, kc) with
 B = 2 kc - 1: the retained modes with kz >= 0, which stand for a real
 field because its modes with kz < 0 are the conjugates of those at -k.
-:func:`to_band` and :func:`from_band` convert between the two.  The
-fields nsreg makes on the band hold the band and build the full layout
-when it is first read (:meth:`SpectralVelocity.from_band`).
+No other module reads the band layout: :func:`to_band` gathers a band,
+:func:`band_of` takes a field's and refuses content outside it, and
+:func:`project_band` projects one.  The fields nsreg makes on the band
+hold it and build the full layout when it is first read
+(:meth:`SpectralVelocity.from_band`).
 
 A convection transform keeps only the kz < kc planes, the ones the 2/3
 rule keeps, in a compact spectrum of shape (c, N, N, kc): the band is
@@ -29,9 +31,8 @@ x-planes are walked in blocks of r planes, r sized to a core's L2
 (:data:`_BLOCK_BYTES`): a block's c2r z pass reads its kc planes padded
 with zeros to the N/2 + 1 of the half spectrum in the block's z-spectrum
 buffer, and a forward block's r2c z pass keeps its kc planes.  Velocity
-samples and flux so exist one block at a time (:func:`flux_contraction`);
-a field's samples, when a caller needs them all, come from
-:func:`band_to_physical` and go back through :func:`physical_to_band`.
+samples and flux so exist one block at a time (:func:`convection_band`),
+and real samples go to the band through :func:`physical_to_band`.
 
 Every transform, these and those of the full layout, is a direct call
 of ``c2c``, ``r2c`` or ``c2r`` of scipy's compiled pocketfft module
@@ -286,13 +287,13 @@ class WaveGrid:
         self._workspace_lock = threading.Lock()
 
     def take_workspace(self):
-        """Borrow the transform arrays of :func:`flux_contraction` and
+        """Borrow the transform arrays of :func:`convection_band` and
         :func:`random_divfree_field`: ``(low, spec, fband, noise, blocks)``,
         views on two byte buffers X and Y, and block buffers.  Hand them
         back with :meth:`give_back_workspace`.
 
-        X holds ``low``, a compact spectrum (3, N, N, kc) (see
-        :func:`band_to_physical`), the velocity's or the noise's, then
+        X holds ``low``, a compact spectrum (3, N, N, kc) of the kz < kc
+        planes (see :func:`_xy_inverse`), the velocity's or the noise's, then
         ``fband``, the band of the flux spectrum.  Y holds ``spec``, the
         flux's compact spectrum (5, N, N, kc), or ``noise``, the random
         field's real samples (3, N, N, N).  Each array is dead before the
@@ -422,7 +423,7 @@ class SpectralVelocity:
         The band is taken, not copied (a read-only one is copied), its
         kz = 0 plane is replaced by :func:`hermitian_plane`, and it is marked
         read-only: ``to_band(u.coefficients, grid)`` equals it bit for bit,
-        and the coefficients are :func:`from_band` of the band as given.
+        and the coefficients, zero off the band, are exactly Hermitian.
         """
         if band.shape != (3,) + grid.ksq_band.shape:
             raise GridMismatchError(f"band shape {band.shape} does not match grid n={grid.n}")
@@ -671,26 +672,6 @@ def _r2c(samples, spec):
     _pocketfft.r2c(samples, axes=(3,), inorm=2, out=spec)
 
 
-def band_to_physical(band, grid, low, out, blocks):
-    """Collocation samples of a field given by its dealias band.
-
-    Equal to ``irfftn`` of the zero-padded half spectrum, with the same
-    axis order (x, then y, then the c2r pass along z): the band is written
-    into ``low``, the compact spectrum of the kz < kc planes (complex,
-    shape (c, N, N, kc), overwritten), one 2-D pass runs over its N * kc
-    x lines and N * kc y lines, and the c2r pass runs over the N * N z
-    lines by blocks of x-planes (:func:`_on_blocks`, with the block
-    buffers ``blocks``), each padded with zeros to the N/2 + 1 of the half
-    spectrum (:func:`_c2r`).  ``band`` has shape (c, B, B, kc) with
-    c <= 5; ``out`` (float, shape (c, N, N, N)) holds the samples and is
-    returned.  The passes run on ``grid.workers`` threads.
-    """
-    _xy_inverse(band, grid, low)
-    _on_blocks(grid, blocks, lambda x, block: _c2r(low[:, x], grid, block[2][: len(low)],
-                                                     out[:, x]))
-    return out
-
-
 def physical_to_band(samples, grid, low, out, blocks):
     """Dealias band of the spectrum of real collocation samples.
 
@@ -716,25 +697,22 @@ def physical_to_band(samples, grid, low, out, blocks):
     return _xy_forward(low, grid, out)
 
 
-def flux_contraction(band, grid, speed=False):
-    """k_i F_ij on the band, where F is Basdevant's flux
-    (:func:`_kernels.convective_product`) of the band velocity u: the
-    dealias band of the spectrum of (u . grad) u - grad(u_z^2), divided
-    by i.  Callers must Leray-project it: the projection removes the
-    gradient and leaves P[(u . grad) u] / i.
+def convection_band(band, grid, speed=False):
+    """P[k_i F_ij] on the band, where F is Basdevant's flux
+    (:func:`_kernels.convective_product`) of the band velocity u and P is
+    the Leray projection: P[(u . grad) u] / i on the band, for P removes
+    the gradient of k_i F_ij = [(u . grad) u - grad(u_z^2)] / i.
 
     Uses the divergence form  sum_i d F_ij / d x_i = i k_i F_ij  of the
     flux F_ij = u_i u_j - delta_ij u_z^2, whose zz component is zero: the
     3 inverse real 3-D transforms of u and the 5 forward ones of F, pruned
-    to the band, in the arrays of :meth:`WaveGrid.take_workspace`.  The
-    transforms are those of :func:`band_to_physical` and
-    :func:`physical_to_band`, with the c2r pass, the product and the r2c
-    pass fused by blocks of x-planes (:func:`_on_blocks`), so u and F
-    exist one block at a time.  The 2/3 rule makes the retained modes of
-    each product alias-free.  The sum is accumulated in place, in the
-    order (k_x F_xj + k_y F_yj) + k_z F_zj, on x-slabs (:func:`_on_slabs`).
-    With ``speed``, returns ``(out, max |u|)``: the largest velocity
-    component on the collocation grid.
+    to the band, in the arrays of :meth:`WaveGrid.take_workspace`, with
+    the c2r pass, the product and the r2c pass fused by blocks of x-planes
+    (:func:`_on_blocks`), so u and F exist one block at a time.  The 2/3
+    rule makes the retained modes of each product alias-free.  The sum,
+    in the order (k_x F_xj + k_y F_yj) + k_z F_zj, is accumulated in place
+    and projected on x-slabs (:func:`_on_slabs`).  With ``speed``, returns
+    ``(out, max |u|)``: the largest velocity component on the collocation grid.
     """
     kc = grid.kc
     low, spec, f, _, blocks = work = grid.take_workspace()
@@ -763,11 +741,26 @@ def flux_contraction(band, grid, speed=False):
                 row += np.multiply(ky, f[fy, x], out=term)
                 if fz is not None:
                     row += np.multiply(kz, f[fz, x], out=term)
+            del term  # before the projection makes its scratch: an RHS stays under 2 bands
+            _project_slab(out, grid, x)
 
         _on_slabs(grid, len(grid.kx_band), contract)
     finally:
         grid.give_back_workspace(work)
     return (out, float(np.max(tops))) if speed else out
+
+
+def _project_slab(band, grid, x):
+    """Leray-project the x-planes ``x`` of a band in place."""
+    _kernels.leray_project_modes(band[:, x], grid.kx_band[x], grid.kx_band, grid.kz_band,
+                                 grid.ksq_band[x])
+
+
+def project_band(band, grid):
+    """Leray-project a band (3, B, B, kc) in place, on x-slabs
+    (:func:`_on_slabs`), modewise as in one piece; returns it."""
+    _on_slabs(grid, len(grid.kx_band), lambda x: _project_slab(band, grid, x))
+    return band
 
 
 def to_band(coefficients, grid):
@@ -811,19 +804,22 @@ def _scatter_band(band, grid, out):
     return out
 
 
-def from_band(band, grid, out=None):
-    """Full-layout coefficients of a band, exactly Hermitian on the band.
-
-    Writes the band into ``out`` (new zeros when None) and fills its modes
-    with kz < 0 from uhat(-k) = conj(uhat(k)).  The plane kz = 0 is
-    replaced by :func:`hermitian_plane`, so the result has the symmetry
-    bit for bit.
-    """
-    if out is None:
-        out = np.zeros(band.shape[:-3] + (grid.n, grid.n, grid.n), dtype=np.complex128)
-    _scatter_band(band, grid, out)
-    out[..., grid.band_index[:, None], grid.band_index, 0] = hermitian_plane(band)
-    return out
+def band_of(u):
+    """Dealias band of a field: the one it holds (read-only), else a copy
+    of its coefficients' band, or :class:`ConfigurationError` if the field
+    has content outside the band."""
+    if u.band is not None:
+        return u.band
+    grid, c = u.grid, u.coefficients
+    band = to_band(c, grid)
+    # the band's mirror at kz < 0, as views: a nonzero on neither lies off the band
+    mirror = (c[..., sx, sy, grid.n - grid.kc + 1:] for _, sx in grid.band_runs
+              for _, sy in grid.band_runs)
+    if np.count_nonzero(c) != np.count_nonzero(band) + sum(map(np.count_nonzero, mirror)):
+        raise ConfigurationError(
+            "field has content outside the dealias band; truncate it with "
+            "u.copy_with(u.coefficients * grid.dealias_mask)")
+    return band
 
 
 def nonlinear_term(u):
@@ -834,9 +830,8 @@ def nonlinear_term(u):
     """
     grid = u.grid
     band = to_band(u.coefficients, grid) if u.band is None else u.band
-    ghat = flux_contraction(band, grid)
+    ghat = convection_band(band, grid)
     ghat *= 1j
-    _kernels.leray_project_modes(ghat, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
     return SpectralVelocity.from_band(grid, ghat)
 
 
@@ -871,7 +866,7 @@ def random_divfree_field(grid, seed, energy_spectrum_slope=-2.0, amplitude=1.0):
     finally:
         grid.give_back_workspace(work)
     c[..., 0] = hermitian_plane(c)  # real noise: Hermitian to rounding, now exactly
-    _kernels.leray_project_modes(c, grid.kx_band, grid.kx_band, grid.kz_band, grid.ksq_band)
+    project_band(c, grid)
 
     mode_mag = _kernels.squared_modulus(c)
     np.sqrt(mode_mag, out=mode_mag)

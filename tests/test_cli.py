@@ -192,6 +192,15 @@ def test_simulate_slope_with_non_finite_field_is_usage_error(tmp_path, capsys, s
     assert "slope" in line
 
 
+@pytest.mark.parametrize("init", ["random", "shear", "zero"])
+def test_simulate_negative_amplitude_is_usage_error(tmp_path, capsys, init):
+    # the amplitude is the initial L2 norm, for every init
+    out = tmp_path / init
+    line = _rejected_as_usage_error(["simulate", "--init", init, "--amplitude", "-1", "--N", "8",
+                                     "--T", "0.01", "--dt", "1e-3", "--out", out], out, capsys)
+    assert line == "nsreg: configuration error: amplitude must be finite and >= 0, got -1.0"
+
+
 def test_simulate_tiny_amplitudes_exit_cleanly(tmp_path, capsys):
     # a field whose coefficients would be subnormal, or whose squared norms
     # would, is refused, never a traceback and never a trace of zeros
@@ -347,13 +356,17 @@ def test_compare_records_a_certified_member_blowing_up_at_once(tmp_path, monkeyp
 
 
 def test_compare_records_a_coarse_member_as_not_passed(tmp_path):
+    # a trace monitor calls too coarse has no verdict: sim_monitor_passed is
+    # left empty, as for a one-sample trace, and the entry says why
     out = tmp_path / "cmp"
     code = run(["compare", "--h1sq", "1", "--l2-sweep", "0.5", "--simulate",
                 "--N", "16", "--T", "0.1", "--dt", "2e-2", "--out", out])
     assert code == EXIT_OK
     (sim,) = read_json(out / "report.json")["simulations"]
     assert sim["status"] == "completed"
-    assert sim["monitor_passed"] is False
+    assert sim["monitor_passed"] is None
+    assert "cap 0.05; rerun with a smaller dt" in sim["detail"]
+    assert (out / "compare.csv").read_text().splitlines()[1].split(",")[-2] == ""
 
 
 def test_compare_records_a_member_infeasible_on_the_grid(tmp_path):
@@ -545,6 +558,21 @@ def test_monitor_coarse_trace_is_not_a_solver_failure(tmp_path, capsys):
     # an explicit tolerance is not modelled, so failing it indicts the solver
     code = run(["monitor", "--trace", out / "trace.csv", "--solver-rel-tol", "0.05"])
     assert code == EXIT_SOLVER_DIAGNOSTIC
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_monitor_one_step_trace_is_too_coarse(tmp_path, capsys, n):
+    # two samples: the residual's one-sided difference, which the monitor's
+    # tolerance does not model, failed a correct run (exit 3); two steps pass
+    for steps in (1, 2):
+        out = tmp_path / f"run{steps}"
+        assert run(["simulate", "--N", n, "--T", steps * 1e-3, "--dt", "1e-3",
+                    "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["monitor", "--trace", tmp_path / "run1" / "trace.csv"]) == EXIT_NORM_INCONSISTENT
+    err = capsys.readouterr().err
+    assert "trace too coarse to diagnose" in err and "two-sample trace" in err
+    assert run(["monitor", "--trace", tmp_path / "run2" / "trace.csv"]) == EXIT_OK
 
 
 def test_monitor_requires_trace():

@@ -259,6 +259,23 @@ def test_monitor_flags_a_coarse_trace(grid16, ledger):
     assert not run_monitor(coarse, ledger, solver_rel_tol=0.05).trace_too_coarse
 
 
+def test_monitor_flags_a_failed_two_sample_trace_as_too_coarse(grid8, ledger):
+    # one step of a correct run: np.gradient's one-sided difference, which
+    # the modelled tolerance (far below its cap here) does not cover
+    u0 = random_divfree_field(grid8, 0, -2.0, 1.0)
+    cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
+    one_step = simulate(u0, ForcingSpec.zero(), cfg).trace
+    assert len(one_step) == 2
+    mon = run_monitor(one_step, ledger)
+    assert mon.solver_diagnostic_failed and mon.trace_too_coarse and not mon.passed
+    # an explicit tolerance is not modelled: its failure is the solver's
+    assert not run_monitor(one_step, ledger, solver_rel_tol=1e-3).trace_too_coarse
+    # a two-sample trace that passes is not marked
+    assert not run_monitor(one_step, ledger, solver_rel_tol=0.05).solver_diagnostic_failed
+    two_steps = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-3, t_end=2e-3))
+    assert run_monitor(two_steps.trace, ledger).passed
+
+
 def test_monitor_violations_property(shear_run, ledger):
     mon = run_monitor(shear_run.trace, ledger)
     assert mon.violations == ()

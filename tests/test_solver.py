@@ -504,6 +504,25 @@ def test_final_state_exactly_hermitian(grid16):
     assert all(hermitian_defect(comp) == 0.0 for comp in res.final_state.coefficients)
 
 
+def test_force_that_holds_its_band_is_read_on_the_band(grid16, monkeypatch):
+    # the stepper reads the held band, as nonlinear_term does, and gets the
+    # bits of the same force in the full layout; its full layout is never built
+    f = random_divfree_field(grid16, 3, -2.0, 2.0)
+    held = f.band.copy()
+    full = SpectralVelocity(grid16, f.coefficients.copy())
+    f = SpectralVelocity.from_band(grid16, held.copy())  # one that has not built its coefficients
+    built = []
+    real_scatter = spectral._scatter_band
+    monkeypatch.setattr(spectral, "_scatter_band", lambda *a: built.append(1) or real_scatter(*a))
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=1e-3)
+    for kind in (ForcingSpec.steady, lambda f: ForcingSpec.time_dependent(lambda t: f)):
+        got = _Stepper(grid16, kind(f), cfg).force_band(0.0)
+        want = _Stepper(grid16, kind(full), cfg).force_band(0.0)
+        assert got.tobytes() == want.tobytes()
+    assert not built and "_coefficients" not in vars(f)
+    assert np.array_equal(f.band, held)  # the time-dependent force is projected in a copy
+
+
 def test_final_state_is_built_when_first_read(grid16, monkeypatch):
     u0 = random_divfree_field(grid16, 9, -2.0, 1.0)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=3e-3)
@@ -577,7 +596,7 @@ def test_coefficients_read_first_by_many_threads_are_one_array(grid16):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert all(c is got[0] for c in got) and not got[0].flags.writeable
-    want = spectral.from_band(u.band, grid16)
+    want = SpectralVelocity.from_band(grid16, u.band).coefficients  # built once, unraced
     assert got[0].tobytes() == want.tobytes()
 
 

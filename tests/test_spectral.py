@@ -29,10 +29,8 @@ from nsreg import (
 from nsreg import _kernels, spectral
 from nsreg.solver import ForcingSpec, SolverConfig, _Stepper, kolmogorov_forcing, simulate
 from nsreg.spectral import (
-    band_to_physical,
+    convection_band,
     field_with_norms,
-    flux_contraction,
-    from_band,
     hermitian_adjoint,
     hermitian_defect,
     hermitian_plane,
@@ -107,7 +105,8 @@ def test_band_layout_matches_dealias_mask(n):
     assert np.all(np.abs(g.k_int[g.band_index]) < n / 3.0)
     assert (2 * kc - 1) ** 2 * kc == g.dealias_mask[..., : n // 2 + 1].sum()
     ones = np.ones((1, 2 * kc - 1, 2 * kc - 1, kc), dtype=np.complex128)
-    assert np.array_equal(from_band(ones, g)[0].real.astype(bool), g.dealias_mask)
+    full = spectral._scatter_band(ones, g, np.zeros((1, n, n, n), dtype=np.complex128))
+    assert np.array_equal(full[0].real.astype(bool), g.dealias_mask)
 
 
 def _half_with_energy_everywhere(g, seed):
@@ -118,18 +117,15 @@ def _half_with_energy_everywhere(g, seed):
     return (0.5 * (full + hermitian_adjoint(full)))[..., : g.n // 2 + 1]
 
 
-def _to_physical(band, g):
-    """band_to_physical into NaN-filled buffers, so every value it returns
-    was written by the call, as in a reused workspace, with block buffers
-    of its own."""
-    lead, n = band.shape[:-3], g.n
-    low = np.full(lead + (n, n, g.kc), np.nan, dtype=np.complex128)
-    return band_to_physical(band, g, low, np.full(lead + (n, n, n), np.nan), [])
+def _padded_half(band, g):
+    """The half spectrum of a 3-component band, zero outside the band."""
+    return SpectralVelocity.from_band(g, band.copy()).coefficients[..., : g.n // 2 + 1]
 
 
 def _to_band(samples, g):
-    """physical_to_band into NaN-filled buffers (see _to_physical), with
-    block buffers of its own."""
+    """physical_to_band into NaN-filled buffers, so every value it returns
+    was written by the call, as in a reused workspace, with block buffers
+    of its own."""
     lead, n, b = samples.shape[:-3], g.n, 2 * g.kc - 1
     low = np.full(lead + (n, n, g.kc), np.nan, dtype=np.complex128)
     return physical_to_band(samples, g, low,
@@ -140,15 +136,10 @@ def _to_band(samples, g):
 def test_band_transforms_match_full_transforms(n):
     g = make_wavegrid(n)
     half = _half_with_energy_everywhere(g, n)
-    band = to_band(half, g)
-    padded = from_band(band, g)[..., : n // 2 + 1]  # the half spectrum, zero outside the band
+    padded = _padded_half(to_band(half, g), g)
     assert np.array_equal(padded, half * g.dealias_mask[..., : n // 2 + 1])
 
     samples = np.fft.irfftn(padded, s=(n, n, n), axes=(-3, -2, -1)) * g.n_modes
-    got = _to_physical(band, g)
-    assert got.shape == samples.shape
-    assert np.allclose(got, samples, rtol=0.0, atol=1e-14 * np.abs(samples).max())
-
     products = samples[[0, 0, 1]] * samples[[1, 2, 2]]
     want = to_band(np.fft.rfftn(products, axes=(-3, -2, -1)) / g.n_modes, g)
     got = _to_band(products, g)
@@ -165,20 +156,19 @@ def test_band_transforms_bitwise_for_power_of_two(n):
     band = to_band(half, g)
     samples = irfftn(half * g.dealias_mask[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
                      norm="forward")
-    assert np.array_equal(_to_physical(band, g), samples)
     full = rfftn(samples, axes=(-3, -2, -1), norm="forward")
     assert np.array_equal(_to_band(samples, g), to_band(full, g))
     for _ in range(2):  # in the grid's workspace, as the random field uses it, stale on reuse
         low, _, _, noise, blocks = work = g.take_workspace()
-        assert np.array_equal(band_to_physical(band, g, low, noise, blocks), samples)
+        noise[...] = samples
         got = physical_to_band(noise, g, low, np.empty_like(band), blocks)
         assert np.array_equal(got, to_band(full, g))
         g.give_back_workspace(work)
 
 
 def test_compact_c2r_equals_padded_c2r():
-    # pocketfft's c2r reads N/2 + 1 planes: band_to_physical and
-    # flux_contraction copy the kz < kc planes into a block buffer and pad
+    # pocketfft's c2r reads N/2 + 1 planes: convection_band copies the
+    # kz < kc planes into a block buffer and pads
     # them with zeros there, and the samples must be those of the padded
     # half spectrum bit for bit, also in a block's strided views
     rng = np.random.default_rng(3)
@@ -196,18 +186,26 @@ def test_compact_c2r_equals_padded_c2r():
 
 
 def _full_flux_contraction(band, g):
-    """flux_contraction and its speed from full 3-D irfftn/rfftn of the
-    padded half spectrum: the oracle of the block walk."""
+    """Samples u of a band and k_i F_ij of their five-component flux, from
+    full 3-D irfftn/rfftn of the padded half spectrum, unprojected."""
     import scipy.fft
 
     n = g.n
-    u = scipy.fft.irfftn(from_band(band, g)[..., : n // 2 + 1], s=(n, n, n), axes=(-3, -2, -1),
-                         norm="forward")
+    u = scipy.fft.irfftn(_padded_half(band, g), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     f = to_band(scipy.fft.rfftn(_kernels.convective_product(u), axes=(-3, -2, -1),
                                 norm="forward"), g)
     kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
     out = np.stack([kx * f[0] + ky * f[1] + kz * f[2], kx * f[1] + ky * f[3] + kz * f[4],
                     kx * f[2] + ky * f[4]])
+    return u, out
+
+
+def _full_convection(band, g):
+    """convection_band and its speed from full transforms
+    (:func:`_full_flux_contraction`), projected in one piece: the oracle
+    of the block walk and the slab projection."""
+    u, out = _full_flux_contraction(band, g)
+    _kernels.leray_project_modes(out, g.kx_band, g.kx_band, g.kz_band, g.ksq_band)
     return out, float(max(u.max(), -u.min()))
 
 
@@ -220,11 +218,11 @@ def _full_physical_to_band(samples, grid, low, out, blocks):
 
 def _assert_leg_matches_full_transforms(g, monkeypatch):
     band = to_band(random_divfree_field(g, 11, -2.0, 3.0).coefficients, g)
-    want, want_speed = _full_flux_contraction(band, g)
+    want, want_speed = _full_convection(band, g)
     for _ in range(2):  # fresh, then reused block buffers
-        got, speed = flux_contraction(band, g, speed=True)
+        got, speed = convection_band(band, g, speed=True)
         assert np.array_equal(got, want) and speed == want_speed
-        assert np.array_equal(flux_contraction(band, g), want)
+        assert np.array_equal(convection_band(band, g), want)
     got = random_divfree_field(g, 5, -5.0 / 3.0, 2.0).coefficients
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "physical_to_band", _full_physical_to_band)
@@ -235,6 +233,17 @@ def _assert_leg_matches_full_transforms(g, monkeypatch):
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_block_walk_equals_full_transforms_bitwise(monkeypatch, n):
     _assert_leg_matches_full_transforms(make_wavegrid(n), monkeypatch)
+
+
+def test_block_walk_equals_full_transforms_at_n12():
+    # N = 12 is not a power of two: the pruned passes scale by 1/N and
+    # 1/N^2 where rfftn scales once, so the samples and the flux agree to rounding
+    g = make_wavegrid(12)
+    band = to_band(random_divfree_field(g, 11, -2.0, 3.0).coefficients, g)
+    want, want_speed = _full_convection(band, g)
+    got, speed = convection_band(band, g, speed=True)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+    assert speed == pytest.approx(want_speed, rel=1e-14)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -280,7 +289,7 @@ def test_a_run_builds_no_full_grid_table():
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 32, 64])
-def test_numpy_z_passes_equal_scipy_bitwise(monkeypatch, n):
+def test_pocketfft_calls_equal_public_ffts_bitwise(monkeypatch, n):
     # every pass calls scipy's pocketfft module directly, with out=; the
     # results must be those of the public scipy.fft and numpy.fft bit for bit
     import scipy.fft
@@ -565,7 +574,7 @@ def test_five_component_flux_projects_to_six_product_convection(n):
 
     g = make_wavegrid(n)
     band = to_band(random_divfree_field(g, n, -2.0, 3.0).coefficients, g)
-    u = _to_physical(band, g)
+    u, flux = _full_flux_contraction(band, g)
     kx, ky, kz = g.kx_band[:, None, None], g.kx_band[None, :, None], g.kz_band
 
     def band_spectrum(samples):
@@ -577,14 +586,14 @@ def test_five_component_flux_projects_to_six_product_convection(n):
         for j in range(i, 3):
             f[i, j] = f[j, i] = band_spectrum(u[i] * u[j])
     six = 1j * np.stack([kx * f[0, j] + ky * f[1, j] + kz * f[2, j] for j in range(3)])
-    five = 1j * flux_contraction(band, g)
 
-    # the two differ by the pure gradient grad(u_z^2), which the projection removes
+    # unprojected, the two differ by the pure gradient grad(u_z^2) ...
     grad = 1j * np.stack(np.broadcast_arrays(kx, ky, kz)) * band_spectrum(u[2] * u[2])
-    assert np.abs(six - five - grad).max() <= 1e-13 * np.abs(six).max()
+    assert np.abs(six - 1j * flux - grad).max() <= 1e-13 * np.abs(six).max()
 
-    for conv in (six, five):
-        _kernels.leray_project_modes(conv, g.kx_band, g.kx_band, g.kz_band)
+    # ... which the projection removes
+    _kernels.leray_project_modes(six, g.kx_band, g.kx_band, g.kz_band)
+    five = 1j * convection_band(band, g)
     assert np.abs(five - six).max() <= 1e-13 * np.abs(six).max()
 
 
