@@ -11,8 +11,9 @@ last, and without ``--out`` they go to stdout.
 Exit codes: 0 success (a reported blowup is a success), 2 monitor
 violation, 3 solver diagnostic failure or lost solver invariant,
 64 usage/configuration error, 65 inconsistent norm inputs, a trace too
-short or too coarse to check, or malformed JSON, 66 missing or unreadable
-file, a run's meta.json included.
+short to check or too coarse to read the energy check's error bar off
+(two samples, or a bar above 5 % of the energy scale), or malformed
+JSON, 66 missing or unreadable file, a run's meta.json included.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .errors import (
     InvariantViolationError,
     PoincareConsistencyError,
 )
-from .monitor import SOLVER_REL_TOL_CAP, run_monitor
+from .monitor import COARSE_BAR, bar_fraction, run_monitor
 from .solver import ForcingSpec, NormTrace, SolverConfig, kolmogorov_forcing, simulate
 from .spectral import (
     SpectralVelocity,
@@ -202,7 +203,6 @@ def build_parser():
     p.add_argument("--meta", help="meta.json of the run, the source of nu and lam1 "
                                   "(default: next to trace)")
     p.add_argument("--report", help="criterion report.json for bound dominance")
-    p.add_argument("--solver-rel-tol", type=_finite, default=None)
     _add_calibration_flags(p)
 
     return parser
@@ -407,7 +407,7 @@ def cmd_compare(args):
             if len(result.trace) >= 2:
                 mon = run_monitor(result.trace, ledger, report=report)
                 if mon.trace_too_coarse:
-                    entry["detail"] = _coarse_detail(result.trace, mon)
+                    entry["detail"] = _coarse_detail(result.trace)
                 else:
                     passed = mon.passed
             entry.update(
@@ -440,14 +440,14 @@ def cmd_calibrate(args):
     return EXIT_OK, {"report.json": _json_text(result.to_json_dict())}
 
 
-def _coarse_detail(trace, mon):
-    """Why the failed solver diagnostic of a too coarse trace says nothing."""
-    why = ("does not model the one-sided difference of a two-sample trace; rerun with more steps"
-           if len(trace) == 2 else
-           f"the trace's step and stiffness push past its cap {SOLVER_REL_TOL_CAP:g}; "
-           "rerun with a smaller dt")
-    residual = mon.checks[0].max_violation
-    return f"solver energy residual {residual:.3g} exceeds the tolerance, which {why}"
+def _coarse_detail(trace):
+    """Why the energy check reads no usable error bar off a too coarse trace."""
+    if len(trace) < 3:
+        return ("a two-sample trace has no second difference to read the energy "
+                "check's error bar from; rerun with more steps")
+    return (f"the energy check's largest error bar is {bar_fraction(trace):.3g} of the "
+            f"most energy that flows through one interval, above {COARSE_BAR:g}; "
+            "rerun with a smaller dt")
 
 
 def cmd_monitor(args):
@@ -467,9 +467,9 @@ def cmd_monitor(args):
     report = None
     if args.report:
         report = CriterionReport.from_json_dict(_load_json(args.report))
-    mon = run_monitor(trace, ledger, report=report, solver_rel_tol=args.solver_rel_tol)
+    mon = run_monitor(trace, ledger, report=report)
     if mon.trace_too_coarse:
-        raise CoarseTraceError(_coarse_detail(trace, mon))
+        raise CoarseTraceError(_coarse_detail(trace))
     code = (EXIT_SOLVER_DIAGNOSTIC if mon.solver_diagnostic_failed
             else EXIT_OK if mon.passed else EXIT_VIOLATION)
     return code, {"report.json": _json_text(mon.to_json_dict())}

@@ -11,7 +11,7 @@ class GridMismatchError(ValueError):
 
 class CoarseTraceError(ValueError):
     """A trace is sampled too coarsely for the solver diagnostic to tell a
-    wrong integrator from differencing error."""
+    wrong integrator from quadrature error."""
 
 
 class PoincareConsistencyError(ValueError):

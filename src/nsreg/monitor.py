@@ -3,26 +3,24 @@
 Four checks run against a :class:`~nsreg.solver.NormTrace`, the last only
 when a criterion report is given:
 
-- the solver diagnostic: the energy-balance residual must stay at the
-  discretization-error level (a failure indicts the integrator);
-- the differential gradient-norm inequality
-  d/dt h1_sq <= c3 |f|^2 + c6 h1_sq^3 (a positive excursion beyond the
-  dt-study tolerance indicts the ledger constants);
+- the solver diagnostic: the energy identity l2_sq(t_k+1) - l2_sq(t_k) =
+  int (2 (f, u) - 2 nu h1_sq) dt (a failure indicts the integrator);
+- the gradient-norm inequality h1_sq(t_k+1) - h1_sq(t_k) <=
+  c3 int |f|^2 + int c6 h1_sq^3 dt (an excursion indicts the constants);
 - the cumulative energy inequality
   l2_sq(t) + (nu/2) int h1_sq <= 2 c7 int |f|^2 + l2_sq(0);
 - dominance of a certified bound curve over the observed h1_sq.
 
-Each check has one tolerance.  The solver diagnostic's and the gradient-norm
-inequality's scale with the measured stiffness of the trace
-(lam_eff = max h2_sq / h1_sq) and the sampling step, so refining dt
-provably shrinks them; only the solver diagnostic's can be overridden per
-call, and its default is capped at :data:`SOLVER_REL_TOL_CAP`.  A trace
-whose modelled tolerance exceeds the cap, or one of two samples, whose
-one-sided difference the model does not cover, is too coarse to tell a
-wrong integrator from differencing error, and a failed diagnostic on it
-is reported as such (:attr:`MonitorReport.trace_too_coarse`).  Every check
-fails closed: a NaN or infinite residual, or a NaN tolerance, is a
-violation, and a trace with a subnormal squared norm is refused.
+The first two hold on each sample interval by the trapezoid rule, whose
+error bar h^3/12 max|g''| (Davis & Rabinowitz, *Methods of Numerical
+Integration*, 1984) is read off the trace, g'' from second differences,
+plus a few ulps of the interval's terms.  An interval fails beyond
+:data:`SAFETY` bars; no option sets a tolerance.  Two samples have no
+second difference, and a bar above :data:`COARSE_BAR` of the energy scale
+cannot tell a wrong integrator from quadrature error: either fails the
+diagnostic as too coarse (:attr:`MonitorReport.trace_too_coarse`).  Every
+check fails closed: a NaN or infinite residual or bar is a violation,
+and a trace with a subnormal squared norm is refused.
 """
 
 import math
@@ -33,12 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .solver import energy_balance_residual
 
-#: factor on the modelled differencing error in the default tolerances
+#: factor on the error bars the interval checks read off the trace
 SAFETY = 4.0
-#: largest default relative tolerance of the solver diagnostic
-SOLVER_REL_TOL_CAP = 0.05
+#: largest energy-check bar, relative to the trace's energy scale (:func:`bar_fraction`)
+COARSE_BAR = 0.05
+#: rounding floor of an interval's error bar, in ulps of its terms
+ROUNDING_ULPS = 4
 #: name of the solver diagnostic's check
 SOLVER_CHECK = "solver_energy_balance"
 #: slack past a bound's horizon, in ulps of the horizon, for end-of-run rounding
@@ -61,11 +60,9 @@ class MonitorReport:
     """Aggregated verdicts; ``violations`` is empty exactly when ``passed``.
 
     Only the checks are stored: ``passed`` and ``solver_diagnostic_failed``
-    are read off them.  ``trace_too_coarse`` marks a failed solver
-    diagnostic at the default tolerance on a trace of two samples, or
-    whose modelled tolerance exceeds :data:`SOLVER_REL_TOL_CAP`: the
-    failure may be differencing error, so it does not indict the
-    integrator.
+    are read off them.  ``trace_too_coarse`` marks a trace whose solver
+    diagnostic failed for want of a usable error bar: the failure may be
+    quadrature error, so it does not indict the integrator.
     """
 
     checks: tuple
@@ -88,7 +85,8 @@ class MonitorReport:
             "checks": [
                 {
                     "name": c.name,
-                    "max_violation": c.max_violation,
+                    # JSON has no NaN or inf; such a check has failed
+                    "max_violation": c.max_violation if math.isfinite(c.max_violation) else None,
                     "first_violation_t": c.first_violation_t,
                 }
                 for c in self.checks
@@ -110,56 +108,70 @@ def _check(name, t, value, limit, max_violation, tolerance):
     )
 
 
-def _effective_stiffness(trace):
-    """Largest Rayleigh quotient h2_sq / h1_sq seen along the trace."""
-    pos = trace.h1_sq > 0
-    if not np.any(pos):
-        return 0.0
-    return float((trace.h2_sq[pos] / trace.h1_sq[pos]).max())
+def _trapezoid(t, g):
+    """Trapezoid integral of g over each sample interval, and the rule's
+    error bar h^3/12 max|g''| there, g'' the second difference of g at the
+    interval's ends (an end sample takes its neighbour's; NaN on two)."""
+    if len(t) < 2:
+        raise GridMismatchError("an interval check needs at least two trace samples")
+    h = np.diff(t)
+    g2 = np.abs(2.0 * np.diff(np.diff(g) / h) / (h[1:] + h[:-1]))
+    g2 = np.concatenate((g2[:1], g2, g2[-1:])) if g2.size else np.full(2, np.nan)
+    return 0.5 * h * (g[1:] + g[:-1]), h**3 / 12.0 * np.maximum(g2[:-1], g2[1:])
 
 
-def _max_dt(trace):
-    return float(np.diff(trace.t).max()) if len(trace) > 1 else 0.0
+def _interval_check(name, t, residual, bar, terms, readable=True):
+    """Fail the intervals whose residual exceeds :data:`SAFETY` times their
+    bar plus ``ROUNDING_ULPS`` ulps of ``terms``, or whose bar is not finite
+    or ``readable``.  ``max_violation`` is the worst residual-to-bar ratio;
+    a violation is dated at the interval's end."""
+    bar = bar + ROUNDING_ULPS * np.finfo(float).eps * terms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(residual == 0.0, 0.0, residual / bar)  # not NaN on a zero bar
+    limit = SAFETY * bar
+    limit = np.where(readable & np.isfinite(limit), limit, np.nan)  # NaN fails
+    return _check(name, t[1:], residual, limit, ratio.max(), SAFETY)
 
 
-def _modelled_solver_tol(trace):
-    """Centered-difference error of d/dt l2_sq, relative, for content
-    decaying like exp(-2 nu lam_eff t), times :data:`SAFETY`."""
-    x = 2.0 * trace.nu * _effective_stiffness(trace) * _max_dt(trace)
-    return SAFETY * x * x / 6.0  # float ** 2 raises OverflowError, x * x gives inf
+def _energy_intervals(trace):
+    """Residual of l2_sq[k+1] - l2_sq[k] = int (2 (f, u) - 2 nu h1_sq) dt per
+    interval, its error bar, and the energy that flows through the interval,
+    int (2 |(f, u)| + 2 nu h1_sq) dt."""
+    work, dissipation = 2.0 * trace.f_dot_u, 2.0 * trace.nu * trace.h1_sq
+    integral, bar = _trapezoid(trace.t, work - dissipation)
+    flow = _trapezoid(trace.t, np.abs(work) + dissipation)[0]
+    return np.diff(trace.l2_sq) - integral, bar, flow
 
 
-def solver_energy_diagnostic(trace, rel_tol=None):
-    """Check that the energy-balance residual is discretization-sized.
+def bar_fraction(trace):
+    """Largest error bar of the energy check over the trace's energy scale,
+    the most energy that flows through one interval: infinite on two
+    samples, which have no bar, and 0 where every bar is 0."""
+    _, bar, flow = _energy_intervals(trace)
+    if len(trace) < 3:
+        return math.inf
+    return float(bar.max() / flow.max()) if bar.max() > 0.0 else 0.0
 
-    The default tolerance is :func:`_modelled_solver_tol`, kept within
-    [1e-10, :data:`SOLVER_REL_TOL_CAP`].
-    """
-    residual = energy_balance_residual(trace)
-    scale = float(max(trace.nu * trace.h1_sq.max(), abs(trace.f_dot_u).max(), 1e-300))
-    if rel_tol is None:
-        rel_tol = min(SOLVER_REL_TOL_CAP, max(1e-10, _modelled_solver_tol(trace)))
-    abs_residual = np.abs(residual)
-    return _check(SOLVER_CHECK, trace.t, abs_residual, rel_tol * scale,
-                  abs_residual.max() / scale if scale > 0 else 0.0, rel_tol)
+
+def solver_energy_diagnostic(trace):
+    """Check the energy identity on each interval; an interval also fails
+    where its bar is above :data:`COARSE_BAR` of the energy scale."""
+    residual, bar, flow = _energy_intervals(trace)
+    return _interval_check(SOLVER_CHECK, trace.t, np.abs(residual), bar,
+                           trace.l2_sq[1:] + trace.l2_sq[:-1] + flow,
+                           readable=bar <= COARSE_BAR * flow.max())
 
 
 def check_h1_inequality(trace, ledger):
-    """Residuals d/dt h1_sq - c3 |f|^2 - c6 h1_sq^3 per sample.
-
-    The inequality predicts residuals <= 0 up to differencing error;
-    returns the residual series and a :class:`CheckResult` flagging
-    positive excursions beyond the modelled differencing error.
-    """
-    if len(trace) < 2:
-        raise GridMismatchError("h1 inequality check needs at least two samples")
-    dydt = np.gradient(trace.h1_sq, trace.t, edge_order=2 if len(trace) > 2 else 1)
-    rhs = ledger.force_young * trace.f_sq + ledger.cubic_coeff * trace.h1_sq**3
-    residual = dydt - rhs
-    tol = max(1e-3 * float(rhs.max(initial=0.0)),
-              _modelled_solver_tol(trace) * 2.0 * trace.nu * float(trace.h2_sq.max(initial=0.0)))
-    return residual, _check("h1_differential_inequality", trace.t, residual, tol,
-                            residual.max(), tol)
+    """Residuals h1_sq[k+1] - h1_sq[k] - c3 (int_f_sq[k+1] - int_f_sq[k])
+    - int c6 h1_sq^3 dt per interval, and a :class:`CheckResult` flagging
+    those above :data:`SAFETY` times the trapezoid bar on c6 h1_sq^3."""
+    integral, bar = _trapezoid(trace.t, ledger.cubic_coeff * trace.h1_sq**3)
+    forced = ledger.force_young * np.diff(trace.int_f_sq)
+    residual = np.diff(trace.h1_sq) - forced - integral
+    terms = trace.h1_sq[1:] + trace.h1_sq[:-1] + forced + integral
+    return residual, _interval_check("h1_differential_inequality", trace.t, residual,
+                                     bar, terms)
 
 
 def check_energy_inequality(trace, ledger):
@@ -167,8 +179,7 @@ def check_energy_inequality(trace, ledger):
     lhs = trace.l2_sq + 0.5 * trace.nu * trace.int_h1_sq
     rhs = 2.0 * ledger.energy_young * trace.int_f_sq + trace.l2_sq[0]
     excess = lhs - rhs
-    scale = float(max(trace.l2_sq.max(), rhs.max(), 1e-300))
-    tol = 1e-9 * scale + 1e-12
+    tol = 1e-9 * float(max(trace.l2_sq.max(), rhs.max()))  # relative: any scale
     return _check("cumulative_energy_inequality", trace.t, excess, tol, excess.max(), tol)
 
 
@@ -215,7 +226,7 @@ def _refuse_subnormal_norms(trace):
             f"normal float {sys.float_info.min:g}: too few significant bits to check")
 
 
-def run_monitor(trace, ledger, report=None, solver_rel_tol=None):
+def run_monitor(trace, ledger, report=None):
     """Run the solver diagnostic plus all applicable inequality checks.
 
     The solver diagnostic comes first so a failing report distinguishes
@@ -223,14 +234,9 @@ def run_monitor(trace, ledger, report=None, solver_rel_tol=None):
     subnormal squared norm raises :class:`GridMismatchError`.
     """
     _refuse_subnormal_norms(trace)
-    diag = solver_energy_diagnostic(trace, rel_tol=solver_rel_tol)
+    diag = solver_energy_diagnostic(trace)
     checks = [diag, check_h1_inequality(trace, ledger)[1], check_energy_inequality(trace, ledger)]
     if report is not None:
         checks.append(check_bound_dominance(trace, report))
-    return MonitorReport(
-        checks=tuple(checks),
-        # two samples: a first-order one-sided difference, which the model does not cover
-        trace_too_coarse=(not diag.passed and solver_rel_tol is None
-                          and (len(trace) == 2
-                               or _modelled_solver_tol(trace) > SOLVER_REL_TOL_CAP)),
-    )
+    # a bar above COARSE_BAR fails the diagnostic, so a coarse trace never passes
+    return MonitorReport(checks=tuple(checks), trace_too_coarse=bar_fraction(trace) > COARSE_BAR)

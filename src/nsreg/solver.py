@@ -116,7 +116,7 @@ class NormTrace:
     fields are the columns of ``trace.csv`` but the derived ``residual``.
 
     ``int_h1_sq`` and ``int_f_sq`` are trapezoidal running integrals of
-    ``h1_sq`` and of the squared force norm :attr:`f_sq`, read off ``int_f_sq``.
+    ``h1_sq`` and of the squared force norm.
     """
 
     t: np.ndarray
@@ -143,20 +143,13 @@ class NormTrace:
                 raise ConfigurationError(f"trace column {name} has negative entries")
         for name in ("int_h1_sq", "int_f_sq"):
             vals = getattr(self, name)
-            if n > 1 and np.any(np.diff(vals) < -1e-15 * (1 + abs(vals).max())):
+            if n > 1 and np.any(np.diff(vals) < -1e-15 * abs(vals).max()):  # any scale
                 raise ConfigurationError(f"cumulative column {name} must not decrease")
         for a in arrays:
             a.setflags(write=False)
 
     def __len__(self):
         return len(self.t)
-
-    @property
-    def f_sq(self):
-        """Squared force norm per sample: the slope of ``int_f_sq``, clipped at 0."""
-        if len(self) < 2:
-            return np.zeros_like(self.t)
-        return np.maximum(np.gradient(self.int_f_sq, self.t), 0.0)
 
     def to_csv(self, path=None):
         """Serialize with the pinned header; returns the CSV text."""

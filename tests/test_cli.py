@@ -365,7 +365,7 @@ def test_compare_records_a_coarse_member_as_not_passed(tmp_path):
     (sim,) = read_json(out / "report.json")["simulations"]
     assert sim["status"] == "completed"
     assert sim["monitor_passed"] is None
-    assert "cap 0.05; rerun with a smaller dt" in sim["detail"]
+    assert "above 0.05; rerun with a smaller dt" in sim["detail"]
     assert (out / "compare.csv").read_text().splitlines()[1].split(",")[-2] == ""
 
 
@@ -545,25 +545,58 @@ def test_monitor_solver_diagnostic_exit_code(tmp_path):
     assert run(["monitor", "--trace", with_box_meta(trace_path)]) == EXIT_SOLVER_DIAGNOSTIC
 
 
+def test_monitor_reports_a_check_that_overflows(tmp_path, capsys):
+    # finite cells whose 2 (f, u) overflows: the energy check's ratio is NaN,
+    # which its report writes as null, not as a traceback
+    rows = ["t,l2_sq,h1_sq,h2_sq,f_dot_u,int_h1_sq,int_f_sq,residual"]
+    for i in range(5):
+        f_dot_u = 1e308 if i == 2 else 0.0
+        rows.append(",".join("%.17g" % v for v in
+                             (0.1 * i, 1.0, 1.0, 1.0, f_dot_u, 0.1 * i, 0.0, 0.0)))
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("\n".join(rows) + "\n")
+    mon = tmp_path / "mon"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["monitor", "--trace", with_box_meta(trace_path), "--out", mon])
+    assert code == EXIT_SOLVER_DIAGNOSTIC
+    assert "Traceback" not in capsys.readouterr().err
+    energy = read_json(mon / "report.json")["checks"][0]
+    assert energy["name"] == "solver_energy_balance" and energy["max_violation"] is None
+
+
 def test_monitor_coarse_trace_is_not_a_solver_failure(tmp_path, capsys):
-    # a correct run whose modelled differencing error exceeds the capped tolerance
+    # a correct run whose energy-check error bar is not small against the
+    # energy that flows through one interval
     out = tmp_path / "run"
-    assert run(["simulate", "--N", "16", "--nu", "1", "--dt", "1e-2", "--T", "0.1",
+    assert run(["simulate", "--N", "16", "--nu", "1", "--dt", "5e-2", "--T", "0.5",
                 "--out", out]) == EXIT_OK
     capsys.readouterr()
     mon = tmp_path / "mon"
     assert run(["monitor", "--trace", out / "trace.csv", "--out", mon]) == EXIT_NORM_INCONSISTENT
-    assert "trace too coarse to diagnose" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trace too coarse to diagnose" in err and "above 0.05" in err
     assert not mon.exists()
-    # an explicit tolerance is not modelled, so failing it indicts the solver
-    code = run(["monitor", "--trace", out / "trace.csv", "--solver-rel-tol", "0.05"])
-    assert code == EXIT_SOLVER_DIAGNOSTIC
+    # at dt = 1e-2 the bar is read and the run passes
+    assert run(["simulate", "--N", "16", "--nu", "1", "--dt", "1e-2", "--T", "0.1",
+                "--out", out]) == EXIT_OK
+    assert run(["monitor", "--trace", out / "trace.csv"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("dt", ["1e-2", "1e-3"])
+def test_monitor_passes_a_forced_start_from_rest(tmp_path, dt):
+    # the stiffness model of decaying content failed this correct run (exit 3)
+    out, mon = tmp_path / "run", tmp_path / "mon"
+    assert run(["simulate", "--N", "8", "--init", "zero", "--forcing", "kolmogorov",
+                "--T", "0.1", "--dt", dt, "--out", out]) == EXIT_OK
+    assert run(["monitor", "--trace", out / "trace.csv", "--out", mon]) == EXIT_OK
+    energy = read_json(mon / "report.json")["checks"][0]
+    assert energy["name"] == "solver_energy_balance" and energy["max_violation"] < 2.0
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_monitor_one_step_trace_is_too_coarse(tmp_path, capsys, n):
-    # two samples: the residual's one-sided difference, which the monitor's
-    # tolerance does not model, failed a correct run (exit 3); two steps pass
+    # two samples have no second difference to read the energy check's error
+    # bar from: too coarse, never a PASS; two steps pass
     for steps in (1, 2):
         out = tmp_path / f"run{steps}"
         assert run(["simulate", "--N", n, "--T", steps * 1e-3, "--dt", "1e-3",
@@ -765,8 +798,7 @@ def test_monitor_undecodable_trace(tmp_path):
     assert run(["monitor", "--trace", with_box_meta(path)]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flag", ["--h1-tol", "--energy-tol", "--solver-rel-tol",
-                                  "--dominance-rel-tol"])
+@pytest.mark.parametrize("flag", ["--h1-tol", "--energy-tol", "--dominance-rel-tol"])
 def test_monitor_rejects_non_finite_tolerance(shear_run, flag):
     assert run(["monitor", "--trace", shear_run / "trace.csv", flag, "nan"]) == EXIT_USAGE
 
@@ -780,7 +812,7 @@ def _assert_no_option(argv, key, cfg, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["h1-tol", "energy-tol", "dominance-rel-tol"])
+@pytest.mark.parametrize("key", ["h1-tol", "energy-tol", "dominance-rel-tol", "solver-rel-tol"])
 def test_monitor_has_no_check_tolerance_options(shear_run, tmp_path, capsys, key):
     argv = ["monitor", "--trace", shear_run / "trace.csv"]
     _assert_no_option(argv, key, tmp_path / "mon.cfg", capsys)

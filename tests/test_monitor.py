@@ -1,7 +1,7 @@
 """Tests for the trajectory-verification checks."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,14 @@ from nsreg import (
     simulate,
     sobolev_norm,
 )
-from nsreg.monitor import CheckResult, MonitorReport, solver_energy_diagnostic
+from nsreg.monitor import (
+    SAFETY,
+    CheckResult,
+    MonitorReport,
+    _energy_intervals,
+    bar_fraction,
+    solver_energy_diagnostic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +69,9 @@ def certified_shear(grid, ledger, amplitude=0.01):
 def test_h1_residual_negative_for_shear(shear_run, ledger):
     residuals, check = check_h1_inequality(shear_run.trace, ledger)
     assert check.passed
-    # exact decay gives dy/dt = -2 nu y, so the residual is strictly below 0
-    assert residuals[1:-1].max() < 0.0
+    # exact decay: h1_sq falls on every interval, so each residual is below 0
+    assert len(residuals) == len(shear_run.trace) - 1
+    assert residuals.max() < 0.0
 
 
 def test_h1_residual_zero_trace(zero_run, ledger):
@@ -73,12 +81,15 @@ def test_h1_residual_zero_trace(zero_run, ledger):
 
 
 def test_h1_residual_matches_shear_algebra(shear_run, ledger):
-    # dy/dt = -2 nu y exactly, so residual ~= -2 nu y - c6 y^3
+    # y = y0 exp(-2 nu t) exactly, so an interval's residual is its fall in y
+    # less the exact integral of c6 y^3, up to the trapezoid rule's error
     tr = shear_run.trace
     residuals, _ = check_h1_inequality(tr, ledger)
-    expected = -2.0 * tr.nu * tr.h1_sq - ledger.cubic_coeff * tr.h1_sq**3
-    mid = slice(1, -1)
-    assert np.allclose(residuals[mid], expected[mid], rtol=1e-4)
+    y0, a, b = tr.h1_sq[0], tr.t[:-1], tr.t[1:]
+    fall = y0 * (np.exp(-2.0 * tr.nu * b) - np.exp(-2.0 * tr.nu * a))
+    cubic = ledger.cubic_coeff * y0**3 * (np.exp(-6.0 * tr.nu * a)
+                                          - np.exp(-6.0 * tr.nu * b)) / (6.0 * tr.nu)
+    assert np.allclose(residuals, fall - cubic, rtol=1e-4)
 
 
 def test_h1_check_flags_planted_violation(ledger):
@@ -90,10 +101,11 @@ def test_h1_check_flags_planted_violation(ledger):
     zeros = np.zeros_like(t)
     bad = NormTrace(t=t, l2_sq=y, h1_sq=y, h2_sq=y, f_dot_u=zeros,
                     int_h1_sq=cum, int_f_sq=zeros, nu=1.0)
-    _, check = check_h1_inequality(bad, ledger)
+    residuals, check = check_h1_inequality(bad, ledger)
     assert not check.passed
-    assert check.first_violation_t is not None
-    assert check.max_violation > 0.0
+    assert check.first_violation_t == t[1]  # flagged from the first interval on
+    assert residuals.min() > 0.0
+    assert check.max_violation > SAFETY
 
 
 # -------------------------------------------------------- energy inequality
@@ -114,6 +126,19 @@ def test_energy_inequality_forced_steady_state(grid16, ledger):
     lhs = tr.l2_sq[-1] + 0.5 * tr.nu * tr.int_h1_sq[-1]
     rhs = 2.0 * ledger.energy_young * tr.int_f_sq[-1] + tr.l2_sq[0]
     assert lhs < rhs
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-14])
+def test_energy_inequality_flags_a_doubling_at_any_scale(ledger, scale):
+    # a force-free trace whose l2_sq doubles over the window breaks
+    # l2_sq(t) <= l2_sq(0), however small its energy
+    t = np.linspace(0.0, 1.0, 11)
+    zeros = np.zeros_like(t)
+    bad = NormTrace(t=t, l2_sq=scale * (1.0 + t), h1_sq=zeros, h2_sq=zeros,
+                    f_dot_u=zeros, int_h1_sq=zeros, int_f_sq=zeros, nu=1.0)
+    check = check_energy_inequality(bad, ledger)
+    assert not check.passed
+    assert check.first_violation_t == t[1]
 
 
 def test_energy_inequality_on_blowup_prefix(grid8, ledger):
@@ -248,32 +273,33 @@ def test_monitor_distinguishes_solver_failure(shear_run, ledger):
 
 
 def test_monitor_flags_a_coarse_trace(grid16, ledger):
+    # a correct run whose energy-check error bar is not small against the
+    # energy that flows through one interval: too coarse, never a PASS
     u0 = random_divfree_field(grid16, 0, -2.0, 1.0)
-    coarse = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)).trace
+    coarse = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=5e-2, t_end=0.5)).trace
+    assert bar_fraction(coarse) > 0.05
     mon = run_monitor(coarse, ledger)
     assert mon.solver_diagnostic_failed and mon.trace_too_coarse
     assert not mon.passed
     assert set(mon.to_json_dict()) == {"checks", "passed"}
-    fine = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=2.5e-3, t_end=0.1)).trace
-    assert not run_monitor(fine, ledger).trace_too_coarse
-    assert not run_monitor(coarse, ledger, solver_rel_tol=0.05).trace_too_coarse
+    # at dt = 1e-2 the bar is 2 % of that scale, and the run passes
+    finer = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)).trace
+    assert bar_fraction(finer) < 0.05
+    mon = run_monitor(finer, ledger)
+    assert mon.passed and not mon.trace_too_coarse
 
 
 def test_monitor_flags_a_failed_two_sample_trace_as_too_coarse(grid8, ledger):
-    # one step of a correct run: np.gradient's one-sided difference, which
-    # the modelled tolerance (far below its cap here) does not cover
+    # one step of a correct run has no second difference to read a bar from
     u0 = random_divfree_field(grid8, 0, -2.0, 1.0)
     cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=1e-3)
     one_step = simulate(u0, ForcingSpec.zero(), cfg).trace
-    assert len(one_step) == 2
+    assert len(one_step) == 2 and bar_fraction(one_step) == math.inf
     mon = run_monitor(one_step, ledger)
     assert mon.solver_diagnostic_failed and mon.trace_too_coarse and not mon.passed
-    # an explicit tolerance is not modelled: its failure is the solver's
-    assert not run_monitor(one_step, ledger, solver_rel_tol=1e-3).trace_too_coarse
-    # a two-sample trace that passes is not marked
-    assert not run_monitor(one_step, ledger, solver_rel_tol=0.05).solver_diagnostic_failed
     two_steps = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-3, t_end=2e-3))
-    assert run_monitor(two_steps.trace, ledger).passed
+    mon = run_monitor(two_steps.trace, ledger)
+    assert mon.passed and not mon.trace_too_coarse
 
 
 def test_monitor_violations_property(shear_run, ledger):
@@ -324,37 +350,48 @@ def test_trace_read_back_is_the_trace_and_gets_its_verdict(tmp_path, grid16, led
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     back = NormTrace.from_csv(path, nu=trace.nu)
-    for name in [f.name for f in fields(NormTrace) if f.name != "nu"] + ["f_sq"]:
+    assert [f.name for f in fields(NormTrace)] == [
+        "t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq", "nu"]
+    for name in [f.name for f in fields(NormTrace) if f.name != "nu"]:
         assert np.array_equal(getattr(back, name), getattr(trace, name)), name
     in_memory, from_file = run_monitor(trace, ledger), run_monitor(back, ledger)
     assert in_memory.checks == from_file.checks
     assert in_memory.to_json_dict() == from_file.to_json_dict()
 
 
-def test_trace_force_norm_is_the_slope_of_its_integral(grid16):
-    trace = _round_trip_run(grid16, "steady").trace
-    assert [f.name for f in fields(NormTrace)] == [
-        "t", "l2_sq", "h1_sq", "h2_sq", "f_dot_u", "int_h1_sq", "int_f_sq", "nu"]
-    assert np.array_equal(trace.f_sq, np.maximum(np.gradient(trace.int_f_sq, trace.t), 0.0))
-    one = planted_trace([0.0], [1.0])
-    assert np.array_equal(one.f_sq, [0.0])
+def test_h1_check_reads_the_force_off_its_recorded_integral(ledger):
+    # h1_sq steps up by exactly c3 times each increment of int_f_sq, which
+    # the inequality allows however the increments are spread in time
+    t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    int_f_sq = np.array([0.0, 0.0, 1e-6, 3e-6, 3e-6])
+    trace = planted_trace(t, ledger.force_young * int_f_sq)
+    trace = replace(trace, int_f_sq=int_f_sq)
+    residuals, check = check_h1_inequality(trace, ledger)
+    assert check.passed
+    cubic = ledger.cubic_coeff * trace.h1_sq**3
+    assert np.allclose(residuals, -0.05 * (cubic[1:] + cubic[:-1]), rtol=1e-12, atol=0)
+    more = replace(trace, h1_sq=trace.h1_sq + np.array([0.0, 0.0, 1e-7, 1e-7, 1e-7]))
+    assert not check_h1_inequality(more, ledger)[1].passed
 
 
 # ------------------------------------------------------------- fail closed
 
+# the interval checks' tolerance is the error bar read off the trace: two
+# samples have no second difference, so their bar is NaN
 NAN_TOLERANCE_CHECKS = {
-    "solver_energy_balance": lambda tr, ledger, report: solver_energy_diagnostic(
-        tr, rel_tol=np.nan),
+    "solver_energy_balance": lambda tr, ledger: solver_energy_diagnostic(tr),
+    "h1_differential_inequality": lambda tr, ledger: check_h1_inequality(tr, ledger)[1],
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAN_TOLERANCE_CHECKS))
 def test_checks_fail_closed_on_nan(grid16, ledger, name):
-    u0, report = certified_shear(grid16, ledger)
-    res = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.1))
-    check = NAN_TOLERANCE_CHECKS[name](res.trace, ledger, report)
+    u0, _ = certified_shear(grid16, ledger)
+    res = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-2, t_end=0.01))
+    assert len(res.trace) == 2
+    check = NAN_TOLERANCE_CHECKS[name](res.trace, ledger)
     assert not check.passed
-    assert check.first_violation_t == res.trace.t[0]
+    assert check.first_violation_t == res.trace.t[1]
 
 
 def test_h1_check_flags_overflowing_residual(ledger):
@@ -372,9 +409,20 @@ def test_h1_check_flags_overflowing_residual(ledger):
 
 
 def test_run_monitor_fails_closed_on_nan_tolerance(shear_run, ledger):
-    mon = run_monitor(shear_run.trace, ledger, solver_rel_tol=np.nan)
-    assert not mon.passed
+    # a finite (f, u) whose double overflows: the energy check's integrand,
+    # its integral and its error bar are not finite next to that sample
+    tr = shear_run.trace
+    f_dot_u = np.array(tr.f_dot_u)
+    f_dot_u[500] = 1e308
+    bad = replace(tr, f_dot_u=f_dot_u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_energy_intervals(bad)[1][499:501]).any()
+        mon = run_monitor(bad, ledger)
+    assert not mon.passed and not mon.trace_too_coarse
     assert [c.name for c in mon.violations] == ["solver_energy_balance"]
+    # an interval's bar reads the second differences at its ends, the last
+    # of which takes in sample 500 on the interval that ends at sample 499
+    assert mon.violations[0].first_violation_t == tr.t[499]
 
 
 # -------------------------------------------------- refinement monotonicity
@@ -384,11 +432,56 @@ def test_diagnostics_shrink_under_dt_refinement(grid16, ledger):
     maxima = []
     for dt in (4e-3, 2e-3, 1e-3):
         res = simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=dt, t_end=0.2))
-        r = np.abs(np.asarray(
-            solver_energy_diagnostic(res.trace).max_violation
-        ))
-        maxima.append(float(r))
-    assert maxima[0] > maxima[1] > maxima[2]
-    # second-order differencing: halving dt cuts the residual by ~4
-    assert maxima[0] / maxima[1] > 3.0
-    assert maxima[1] / maxima[2] > 3.0
+        assert solver_energy_diagnostic(res.trace).passed
+        maxima.append(float(np.abs(_energy_intervals(res.trace)[0]).max()))
+    # the trapezoid rule's error on one interval is O(dt^3): halving dt
+    # cuts the worst interval residual by ~8
+    assert maxima[0] / maxima[1] > 6.0
+    assert maxima[1] / maxima[2] > 6.0
+
+
+# ------------------------------------------- the energy check's error bar
+
+@pytest.fixture(scope="module")
+def kolmogorov_run(grid8):
+    n = grid8.n
+    from nsreg import SpectralVelocity
+
+    u0 = SpectralVelocity(grid8, np.zeros((3, n, n, n), dtype=np.complex128))
+    cfg = SolverConfig(nu=1.0, dt=1e-3, t_end=0.1)
+    return simulate(u0, kolmogorov_forcing(grid8, 1.0), cfg).trace
+
+
+@pytest.fixture(scope="module")
+def random_run(grid16):
+    u0 = random_divfree_field(grid16, 0, -2.0, 1.0)
+    return simulate(u0, ForcingSpec.zero(), SolverConfig(nu=1.0, dt=1e-3, t_end=0.5)).trace
+
+
+@pytest.mark.parametrize("run", ["kolmogorov_run", "random_run", "shear_run"])
+def test_energy_check_fails_a_viscosity_off_by_one_percent(request, run):
+    trace = request.getfixturevalue(run)
+    trace = getattr(trace, "trace", trace)
+    assert solver_energy_diagnostic(trace).passed
+    assert not solver_energy_diagnostic(replace(trace, nu=1.01 * trace.nu)).passed
+
+
+@pytest.mark.parametrize("sign", [0.0, -1.0])
+def test_energy_check_fails_a_dropped_or_flipped_force_term(kolmogorov_run, sign):
+    bad = replace(kolmogorov_run, f_dot_u=sign * kolmogorov_run.f_dot_u)
+    check = solver_energy_diagnostic(bad)
+    assert not check.passed
+    assert check.max_violation > 100 * SAFETY
+
+
+@pytest.mark.parametrize("dt", [1e-2, 2e-3, 1e-3])
+def test_forced_rk2_runs_pass_the_interval_checks(grid16, dt):
+    # if_rk2's error is of the order of the trapezoid rule's
+    ledger = derive_constants(0.5)
+    u0 = random_divfree_field(grid16, 0, -2.0, 1.0)
+    cfg = SolverConfig(nu=0.5, dt=dt, t_end=0.5, integrator="if_rk2")
+    trace = simulate(u0, kolmogorov_forcing(grid16, 1.0), cfg).trace
+    energy = solver_energy_diagnostic(trace)
+    assert energy.passed and energy.max_violation < 0.5 * SAFETY
+    assert check_h1_inequality(trace, ledger)[1].passed
+    assert bar_fraction(trace) < 0.01
